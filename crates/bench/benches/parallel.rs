@@ -18,10 +18,32 @@
 //!
 //! Knobs: `BENCH_PARALLEL_SCALE` (population scale, default 0.1).
 
+use dropbox::FlowTruth;
+use nettrace::FlowRecord;
 use simcore::json::Json;
+use std::collections::BTreeMap;
 use std::time::Instant;
-use workload::driver::simulate_vantage_span;
-use workload::{simulate_shards, FaultPlan, ShardPlan};
+use workload::{simulate_shards, simulate_shards_into, FaultPlan, ShardPlan, SpanFold};
+
+/// Times each household range: a fold is created as its range starts, and
+/// every record stamps the range's elapsed seconds. Merged folds keep one
+/// `(seconds, records)` entry per range, in household order.
+struct SpanTimer {
+    started: Instant,
+    spans: Vec<(f64, u64)>,
+}
+
+impl SpanFold for SpanTimer {
+    fn accept(&mut self, _flow: FlowRecord, _truth: Option<FlowTruth>) {
+        let span = &mut self.spans[0];
+        span.0 = self.started.elapsed().as_secs_f64();
+        span.1 += 1;
+    }
+
+    fn merge(&mut self, later: Self) {
+        self.spans.extend(later.spans);
+    }
+}
 
 /// Makespan of greedy list scheduling (claim-when-free, schedule order) —
 /// exactly `simcore::par::fork_join`'s worker behaviour — over measured
@@ -52,21 +74,30 @@ fn main() {
     // inline on the calling thread, and household-range spans partition
     // each capture exactly.
     let work = plan.household_shards(scale);
+    let t_serial = Instant::now();
+    let timed = simulate_shards_into(&plan, scale, seed, &faults, 1, |_| SpanTimer {
+        started: Instant::now(),
+        spans: vec![(0.0, 0)],
+    });
+    // Re-key each capture's ranges (household order) by range start.
+    let mut by_range: BTreeMap<(usize, usize), (f64, u64)> = BTreeMap::new();
+    for (ci, shard) in plan.shards.iter().enumerate() {
+        let mut starts: Vec<usize> = work
+            .iter()
+            .filter(|hs| hs.capture == ci)
+            .map(|hs| hs.households.start)
+            .collect();
+        starts.sort_unstable();
+        let spans = &timed[shard.merge_slot].0.spans;
+        for (start, &span) in starts.into_iter().zip(spans) {
+            by_range.insert((ci, start), span);
+        }
+    }
     let mut sub_shard_secs: Vec<f64> = Vec::new();
     let mut sub_shard_rows: Vec<Json> = Vec::new();
-    let t_serial = Instant::now();
     for hs in &work {
         let shard = &plan.shards[hs.capture];
-        let t = Instant::now();
-        let out = simulate_vantage_span(
-            &shard.config(scale),
-            shard.version,
-            shard.capture_seed(seed),
-            &faults,
-            hs.households.clone(),
-        );
-        let secs = t.elapsed().as_secs_f64();
-        std::hint::black_box(&out);
+        let (secs, flows) = by_range[&(hs.capture, hs.households.start)];
         sub_shard_secs.push(secs);
         sub_shard_rows.push(Json::obj([
             (
@@ -78,7 +109,7 @@ fn main() {
             ),
             ("weight", Json::U64(hs.weight)),
             ("serial_seconds", Json::F64(secs)),
-            ("flows", Json::U64(out.flows.len() as u64)),
+            ("flows", Json::U64(flows)),
         ]));
     }
     let serial_secs = t_serial.elapsed().as_secs_f64();

@@ -16,7 +16,7 @@
 //! `full-materialize` rule exempts this file).
 
 use crate::classify::{dropbox_role, provider_of, DropboxRole, Provider};
-use crate::stream::{run_one, Accumulate, Pipeline};
+use crate::stream::{run_one, Accumulate};
 use nettrace::{FlowRecord, Ipv4};
 use std::collections::{BTreeMap, BTreeSet};
 use std::mem::size_of;
@@ -131,11 +131,19 @@ impl Dataset {
     pub fn daily_total_bytes(&self) -> Vec<u64> {
         run_one(&self.flows, DailyTotalAcc::new(self.days))
     }
+}
 
-    /// Replay the retained flow vector through a [`Pipeline`] — the
-    /// bridge from a materialised capture to the single-pass analyses.
-    pub fn stream_into(&self, pipeline: &mut Pipeline<'_>) {
-        pipeline.run(&self.flows);
+/// Add `later`'s per-key counts into `counts`.
+fn add_counts<K: Ord>(counts: &mut BTreeMap<K, u64>, later: BTreeMap<K, u64>) {
+    for (k, n) in later {
+        *counts.entry(k).or_default() += n;
+    }
+}
+
+/// Add `later`'s per-day totals into `per_day` (both span the same days).
+fn add_days(per_day: &mut [u64], later: Vec<u64>) {
+    for (day, n) in per_day.iter_mut().zip(later) {
+        *day += n;
     }
 }
 
@@ -152,6 +160,11 @@ impl Accumulate for OverviewAcc {
     fn observe(&mut self, f: &FlowRecord) {
         self.ips.insert(f.key.client.ip);
         self.volume += f.total_bytes();
+    }
+
+    fn merge(&mut self, later: Self) {
+        self.ips.extend(later.ips);
+        self.volume += later.volume;
     }
 
     fn finish(self) -> DatasetOverview {
@@ -188,6 +201,12 @@ impl Accumulate for DropboxTotalsAcc {
         }
     }
 
+    fn merge(&mut self, later: Self) {
+        self.flows += later.flows;
+        self.volume += later.volume;
+        self.devices.extend(later.devices);
+    }
+
     fn finish(self) -> DropboxTotals {
         DropboxTotals {
             flows: self.flows,
@@ -222,6 +241,13 @@ impl Accumulate for RoleBreakdownAcc {
         *self.flows.entry(role).or_default() += 1;
         self.total_bytes += f.total_bytes();
         self.total_flows += 1;
+    }
+
+    fn merge(&mut self, later: Self) {
+        add_counts(&mut self.bytes, later.bytes);
+        add_counts(&mut self.flows, later.flows);
+        self.total_bytes += later.total_bytes;
+        self.total_flows += later.total_flows;
     }
 
     fn finish(self) -> BTreeMap<&'static str, RoleShare> {
@@ -273,6 +299,12 @@ impl Accumulate for StorageServersAcc {
         }
     }
 
+    fn merge(&mut self, later: Self) {
+        for (day, servers) in self.per_day.iter_mut().zip(later.per_day) {
+            day.extend(servers);
+        }
+    }
+
     fn finish(self) -> Vec<usize> {
         self.per_day.into_iter().map(|s| s.len()).collect()
     }
@@ -316,6 +348,22 @@ impl Accumulate for ProviderSeriesAcc {
         if d < series.len() {
             series[d].0.insert(f.key.client.ip);
             series[d].1 += f.total_bytes();
+        }
+    }
+
+    fn merge(&mut self, later: Self) {
+        for (p, series) in later.map {
+            match self.map.get_mut(&p) {
+                Some(mine) => {
+                    for ((ips, bytes), (later_ips, later_bytes)) in mine.iter_mut().zip(series) {
+                        ips.extend(later_ips);
+                        *bytes += later_bytes;
+                    }
+                }
+                None => {
+                    self.map.insert(p, series);
+                }
+            }
         }
     }
 
@@ -376,6 +424,10 @@ impl Accumulate for DailyBytesAcc {
         }
     }
 
+    fn merge(&mut self, later: Self) {
+        add_days(&mut self.per_day, later.per_day);
+    }
+
     fn finish(self) -> Vec<u64> {
         self.per_day
     }
@@ -407,6 +459,10 @@ impl Accumulate for DailyTotalAcc {
         if d < self.per_day.len() {
             self.per_day[d] += f.total_bytes();
         }
+    }
+
+    fn merge(&mut self, later: Self) {
+        add_days(&mut self.per_day, later.per_day);
     }
 
     fn finish(self) -> Vec<u64> {

@@ -40,6 +40,18 @@ pub struct HouseholdUsage {
     pub sessions: u32,
 }
 
+impl HouseholdUsage {
+    /// Fold in the usage the same address showed later in the stream.
+    fn absorb(&mut self, later: HouseholdUsage) {
+        self.client_seen |= later.client_seen;
+        self.store_bytes += later.store_bytes;
+        self.retrieve_bytes += later.retrieve_bytes;
+        self.devices.extend(later.devices);
+        self.days_online.extend(later.days_online);
+        self.sessions += later.sessions;
+    }
+}
+
 /// The four user groups of Sec. 5.1.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum UserGroup {
@@ -136,6 +148,18 @@ impl Accumulate for HouseholdsAcc {
             }
             _ => {}
         }
+    }
+
+    fn merge(&mut self, later: Self) {
+        for (ip, h) in later.map {
+            match self.map.get_mut(&ip) {
+                Some(mine) => mine.absorb(h),
+                None => {
+                    self.map.insert(ip, h);
+                }
+            }
+        }
+        self.sessions.merge(later.sessions);
     }
 
     fn finish(self) -> BTreeMap<Ipv4, HouseholdUsage> {

@@ -19,10 +19,11 @@
 //! * [`users`] — account inference by namespace-list comparison
 //!   (Sec. 2.3.1), scored against ground truth by the harness,
 //! * [`dataset`] — the vantage-point dataset wrapper and summary tables,
-//! * [`stream`] — the single-pass analysis substrate: the
-//!   [`stream::Accumulate`] trait every analysis implements and the
-//!   [`stream::Pipeline`] that fans one record stream out to all of them
-//!   (mirroring the paper's on-line Tstat processing).
+//! * [`stream`] — the single-pass analysis substrate: the mergeable
+//!   [`stream::Accumulate`] trait every analysis implements, so each
+//!   household range of a capture folds on its own worker and the states
+//!   merge in household order (mirroring the paper's on-line Tstat
+//!   processing).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,4 +39,4 @@ pub mod users;
 
 pub use classify::{DropboxRole, Provider, StorageTag};
 pub use dataset::Dataset;
-pub use stream::{Accumulate, Pipeline};
+pub use stream::Accumulate;

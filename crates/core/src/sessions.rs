@@ -89,6 +89,13 @@ impl Accumulate for MergedSessionsAcc {
         }
     }
 
+    fn merge(&mut self, later: Self) {
+        for (host_int, list) in later.per_dev {
+            self.per_dev.entry(host_int).or_default().extend(list);
+        }
+        self.obs_bytes += later.obs_bytes;
+    }
+
     fn finish(self) -> Vec<DeviceSession> {
         let mut out = Vec::new();
         for (host_int, mut list) in self.per_dev {
@@ -147,6 +154,10 @@ impl Accumulate for RawDurationsAcc {
         }
     }
 
+    fn merge(&mut self, later: Self) {
+        self.durations.extend(later.durations);
+    }
+
     fn finish(self) -> Vec<f64> {
         self.durations
     }
@@ -169,6 +180,10 @@ impl Accumulate for DistinctDevicesAcc {
         if let Some(meta) = &f.notify {
             self.devices.insert(meta.host_int);
         }
+    }
+
+    fn merge(&mut self, later: Self) {
+        self.devices.extend(later.devices);
     }
 
     fn finish(self) -> usize {
@@ -195,6 +210,12 @@ impl Accumulate for DevicesPerHouseholdAcc {
                 .entry(f.key.client.ip)
                 .or_default()
                 .insert(meta.host_int);
+        }
+    }
+
+    fn merge(&mut self, later: Self) {
+        for (ip, set) in later.map {
+            self.map.entry(ip).or_default().extend(set);
         }
     }
 
@@ -236,6 +257,17 @@ impl Accumulate for NamespacesPerDeviceAcc {
         }
     }
 
+    fn merge(&mut self, later: Self) {
+        // The later stream's last observation wins unless this stream saw
+        // the device later in simulated time — what `observe` would do.
+        for (host_int, (at, n)) in later.latest {
+            let entry = self.latest.entry(host_int).or_insert((at, n));
+            if at >= entry.0 {
+                *entry = (at, n);
+            }
+        }
+    }
+
     fn finish(self) -> BTreeMap<u64, usize> {
         self.latest.into_iter().map(|(h, (_, n))| (h, n)).collect()
     }
@@ -269,6 +301,11 @@ impl Accumulate for StartupsAcc {
     fn observe(&mut self, f: &FlowRecord) {
         self.sessions.observe(f);
         self.devices.observe(f);
+    }
+
+    fn merge(&mut self, later: Self) {
+        self.sessions.merge(later.sessions);
+        self.devices.merge(later.devices);
     }
 
     fn finish(self) -> Vec<f64> {
@@ -337,16 +374,17 @@ pub struct HourlyProfiles {
 }
 
 /// Streaming Fig. 15: the four hourly profiles over working days. The
-/// storage-volume histograms fold per record in stream order (so float
-/// summation order matches the historical flow loop), their normalising
+/// storage-volume histograms count integer bytes (exact in any merge
+/// order; every bin stays far below 2^53, so the one cast in `finish` is
+/// bit-identical to the historical f64 flow loop), their normalising
 /// totals accumulate order-insensitively (`OrderlessSum`), and the
 /// session parts fold from the merged sessions at `finish`.
 pub struct HourlyProfilesAcc {
     days: u32,
     sessions: MergedSessionsAcc,
     devices: DistinctDevicesAcc,
-    retrieve: [f64; 24],
-    store: [f64; 24],
+    retrieve: [u64; 24],
+    store: [u64; 24],
     retr_total: OrderlessSum,
     store_total: OrderlessSum,
 }
@@ -358,8 +396,8 @@ impl HourlyProfilesAcc {
             days,
             sessions: MergedSessionsAcc::default(),
             devices: DistinctDevicesAcc::default(),
-            retrieve: [0.0; 24],
-            store: [0.0; 24],
+            retrieve: [0; 24],
+            store: [0; 24],
             retr_total: OrderlessSum::new(),
             store_total: OrderlessSum::new(),
         }
@@ -381,14 +419,27 @@ impl Accumulate for HourlyProfilesAcc {
         let h = f.first_syn.hour() as usize;
         match storage_tag(f) {
             StorageTag::Store => {
-                self.store[h] += up as f64;
+                self.store[h] += up;
                 self.store_total.add(up as f64);
             }
             StorageTag::Retrieve => {
-                self.retrieve[h] += down as f64;
+                self.retrieve[h] += down;
                 self.retr_total.add(down as f64);
             }
         }
+    }
+
+    fn merge(&mut self, later: Self) {
+        self.sessions.merge(later.sessions);
+        self.devices.merge(later.devices);
+        for (h, bytes) in later.retrieve.iter().enumerate() {
+            self.retrieve[h] += bytes;
+        }
+        for (h, bytes) in later.store.iter().enumerate() {
+            self.store[h] += bytes;
+        }
+        self.retr_total.merge(&later.retr_total);
+        self.store_total.merge(&later.store_total);
     }
 
     fn finish(self) -> HourlyProfiles {
@@ -423,8 +474,8 @@ impl Accumulate for HourlyProfilesAcc {
             *v /= total_devices * n_working;
         }
 
-        let mut retrieve = self.retrieve;
-        let mut store = self.store;
+        let mut retrieve = self.retrieve.map(|b| b as f64);
+        let mut store = self.store.map(|b| b as f64);
         let retr_total = self.retr_total.value();
         let store_total = self.store_total.value();
         if retr_total > 0.0 {
@@ -473,6 +524,10 @@ impl Accumulate for HolidayDipAcc {
 
     fn observe(&mut self, f: &FlowRecord) {
         self.startups.observe(f);
+    }
+
+    fn merge(&mut self, later: Self) {
+        self.startups.merge(later.startups);
     }
 
     fn finish(self) -> Option<f64> {

@@ -1,41 +1,55 @@
-//! Single-pass streaming analysis: the accumulator trait and the fan-out
-//! pipeline.
+//! Single-pass streaming analysis: the accumulator trait.
 //!
 //! The paper's probes ran Tstat on-line — per-flow records were folded
 //! into the analyses as flows closed, never holding a capture in RAM.
 //! This module is that architecture for the reproduction: every analysis
 //! in this crate is an [`Accumulate`] implementation (`observe` one
-//! record at a time, `finish` into the legacy result type), and a
-//! [`Pipeline`] fans one record stream out to all registered accumulators
-//! so the whole analysis happens in **one pass** over the capture.
+//! record at a time, `finish` into the legacy result type), so the whole
+//! analysis happens in **one pass** over the capture.
+//!
+//! Household ranges of one capture are simulated on separate workers, so
+//! each range folds into its own accumulator state and the states
+//! [`merge`](Accumulate::merge) in household order. A merge means stream
+//! concatenation: folding a stream in contiguous pieces and merging the
+//! pieces in order yields exactly the state of one fold over the whole
+//! stream.
 //!
 //! Determinism: accumulators observe records in capture order (the
 //! monitor's finalisation order — see `nettrace::sink`), and every
 //! `finish` folds its state in a deterministic (keyed or arrival) order,
-//! so a pipeline pass is byte-identical to the legacy whole-`Vec`
+//! so a streamed, merged pass is byte-identical to the legacy whole-`Vec`
 //! computation it replaced. `crates/core/tests/stream_props.rs` pins this
-//! equivalence on randomized flow sets.
+//! equivalence on randomized flow sets cut at random points.
 //!
 //! Memory: aggregate accumulators (totals, per-day/per-role maps) hold
 //! state bounded by the analysis dimensions (days, roles, addresses),
 //! independent of flow count. Distribution accumulators keep one sample
 //! per matching flow because the byte-identity contract demands exact
-//! ECDF point sets; [`Observe::state_bytes`] reports the live state so
+//! ECDF point sets; [`Accumulate::state_bytes`] reports the live state so
 //! the streaming bench (`BENCH_stream.json`) can track both kinds.
 
-use nettrace::{FlowRecord, FlowSink};
+use nettrace::FlowRecord;
 
-/// An incremental analysis: folds a record stream into a result.
+/// An incremental, mergeable analysis: folds a record stream into a
+/// result.
 ///
 /// Implementations must be insensitive to anything but the sequence of
 /// observed records — two passes over the same stream yield identical
-/// outputs.
+/// outputs — and `a.merge(b)` must equal one fold over `a`'s stream
+/// followed by `b`'s.
 pub trait Accumulate {
     /// The finished analysis result (the legacy return type).
     type Output;
 
     /// Fold one record into the state.
     fn observe(&mut self, flow: &FlowRecord);
+
+    /// Append the state of a fold over the records that follow this
+    /// one's in the stream. Sample vectors append, counters add, sets and
+    /// maps take the union.
+    fn merge(&mut self, later: Self)
+    where
+        Self: Sized;
 
     /// Consume the state into the result.
     fn finish(self) -> Self::Output;
@@ -51,91 +65,31 @@ pub trait Accumulate {
     }
 }
 
-/// Object-safe view of an accumulator, so a [`Pipeline`] can hold
-/// heterogeneous registrations. Blanket-implemented for every
-/// [`Accumulate`]; never implement it directly.
-pub trait Observe {
-    /// Fold one record into the state.
-    fn observe_record(&mut self, flow: &FlowRecord);
+/// An accumulator that is only registered where a consumer exists: `None`
+/// observes nothing and finishes to `None`.
+impl<A: Accumulate> Accumulate for Option<A> {
+    type Output = Option<A::Output>;
 
-    /// Estimated live state size in bytes.
-    fn state_bytes(&self) -> usize;
-}
+    fn observe(&mut self, flow: &FlowRecord) {
+        if let Some(a) = self {
+            a.observe(flow);
+        }
+    }
 
-impl<A: Accumulate> Observe for A {
-    fn observe_record(&mut self, flow: &FlowRecord) {
-        self.observe(flow);
+    fn merge(&mut self, later: Self) {
+        match (self.as_mut(), later) {
+            (Some(a), Some(b)) => a.merge(b),
+            (None, None) => {}
+            _ => panic!("merging an enabled accumulator with a disabled one"),
+        }
+    }
+
+    fn finish(self) -> Self::Output {
+        self.map(A::finish)
     }
 
     fn state_bytes(&self) -> usize {
-        Accumulate::state_bytes(self)
-    }
-}
-
-/// Fan one record stream out to every registered accumulator, in
-/// registration order, in a single pass.
-///
-/// The pipeline borrows its accumulators, so after the pass the caller
-/// still owns them and calls [`Accumulate::finish`] on each. It is a
-/// [`FlowSink`], so a monitor or driver can emit completed flows straight
-/// into the analyses without materialising a record vector.
-#[derive(Default)]
-pub struct Pipeline<'a> {
-    stages: Vec<&'a mut dyn Observe>,
-    records: u64,
-}
-
-impl<'a> Pipeline<'a> {
-    /// An empty pipeline.
-    pub fn new() -> Self {
-        Pipeline {
-            stages: Vec::new(),
-            records: 0,
-        }
-    }
-
-    /// Register an accumulator; records observed from now on are fanned
-    /// out to it (after all earlier registrations).
-    pub fn register(&mut self, acc: &'a mut dyn Observe) -> &mut Self {
-        self.stages.push(acc);
-        self
-    }
-
-    /// Fan one record out to every registered accumulator.
-    pub fn observe(&mut self, flow: &FlowRecord) {
-        for stage in &mut self.stages {
-            stage.observe_record(flow);
-        }
-        self.records += 1;
-    }
-
-    /// Records observed so far.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// Number of registered accumulators.
-    pub fn stages(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Total estimated live state across all registered accumulators.
-    pub fn state_bytes(&self) -> usize {
-        self.stages.iter().map(|s| s.state_bytes()).sum()
-    }
-
-    /// Drive the pipeline over an in-memory record sequence (the
-    /// compatibility path for already-materialised captures).
-    pub fn run<'f>(&mut self, flows: impl IntoIterator<Item = &'f FlowRecord>) {
-        for f in flows {
-            self.observe(f);
-        }
-    }
-}
-
-impl FlowSink for Pipeline<'_> {
-    fn accept(&mut self, flow: FlowRecord) {
-        self.observe(&flow);
+        self.as_ref().map_or(0, A::state_bytes)
     }
 }
 
@@ -173,6 +127,11 @@ mod tests {
             self.bytes += flow.total_bytes();
         }
 
+        fn merge(&mut self, later: Self) {
+            self.records += later.records;
+            self.bytes += later.bytes;
+        }
+
         fn finish(self) -> (u64, u64) {
             (self.records, self.bytes)
         }
@@ -207,32 +166,23 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_fans_out_to_all_stages() {
-        let mut a = Totals::default();
-        let mut b = Totals::default();
-        let flows = vec![record(10, 20), record(1, 2)];
-        {
-            let mut p = Pipeline::new();
-            p.register(&mut a).register(&mut b);
-            assert_eq!(p.stages(), 2);
-            p.run(&flows);
-            assert_eq!(p.records(), 2);
-            assert!(p.state_bytes() >= 2 * std::mem::size_of::<Totals>());
+    fn merged_pieces_match_one_fold() {
+        let flows = vec![record(10, 20), record(1, 2), record(0, 7)];
+        let mut head = Totals::default();
+        head.observe(&flows[0]);
+        let mut tail = Totals::default();
+        for f in &flows[1..] {
+            tail.observe(f);
         }
-        assert_eq!(a.finish(), (2, 33));
-        assert_eq!(b.finish(), (2, 33));
+        head.merge(tail);
+        assert_eq!(head.finish(), run_one(&flows, Totals::default()));
     }
 
     #[test]
-    fn pipeline_is_a_flow_sink() {
-        let mut a = Totals::default();
-        {
-            let mut p = Pipeline::new();
-            p.register(&mut a);
-            p.accept(record(5, 5));
-            p.accept(record(5, 5));
-        }
-        assert_eq!(a.finish(), (2, 20));
+    fn optional_accumulators_observe_only_when_enabled() {
+        let flows = vec![record(10, 20), record(1, 2)];
+        assert_eq!(run_one(&flows, Some(Totals::default())), Some((2, 33)));
+        assert_eq!(run_one(&flows, None::<Totals>), None);
     }
 
     #[test]

@@ -67,6 +67,13 @@ impl Accumulate for InferUsersAcc {
         }
     }
 
+    fn merge(&mut self, later: Self) {
+        // A later namespace list replaces an earlier one, as in `observe`.
+        for (ip, devices) in later.per_addr {
+            self.per_addr.entry(ip).or_default().extend(devices);
+        }
+    }
+
     fn finish(self) -> Vec<Vec<u64>> {
         let mut dsu = Dsu::new();
         for devices in self.per_addr.values() {

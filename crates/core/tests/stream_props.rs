@@ -1,27 +1,26 @@
-//! Property tests of the streaming pipeline: one shared fan-out pass over
-//! a randomized flow set must produce exactly what the legacy
-//! materialised entry points compute in independent passes, and a second
-//! pipeline pass over the same stream must be identical to the first
-//! (the determinism half of the byte-identity contract — see
-//! `dropbox_analysis::stream`).
+//! Property tests of the mergeable accumulators: a randomized flow set
+//! cut at random contiguous points, each piece folded on its own and the
+//! pieces merged in order, must yield exactly what one fold over the whole
+//! set yields — for every accumulator (the household-range merge half of
+//! the byte-identity contract — see `dropbox_analysis::stream`).
 
 use dropbox_analysis::dataset::{
-    DailyTotalAcc, Dataset, DropboxTotalsAcc, OverviewAcc, ProviderSeriesAcc, RoleBreakdownAcc,
-    StorageServersAcc,
+    DailyBytesAcc, DailyTotalAcc, DropboxTotalsAcc, OverviewAcc, ProviderSeriesAcc,
+    RoleBreakdownAcc, StorageServersAcc,
 };
-use dropbox_analysis::groups::{aggregate_households, HouseholdsAcc};
+use dropbox_analysis::groups::HouseholdsAcc;
 use dropbox_analysis::sessions::{
-    distinct_devices, merged_sessions, namespaces_per_device, raw_session_durations,
-    startups_per_day, DeviceSession, DistinctDevicesAcc, MergedSessionsAcc, NamespacesPerDeviceAcc,
-    RawDurationsAcc, StartupsAcc,
+    DevicesPerHouseholdAcc, DistinctDevicesAcc, HolidayDipAcc, HourlyProfilesAcc,
+    MergedSessionsAcc, NamespacesPerDeviceAcc, RawDurationsAcc, StartupsAcc,
 };
-use dropbox_analysis::stream::Pipeline;
-use dropbox_analysis::users::{infer_users, InferUsersAcc};
-use dropbox_analysis::Accumulate;
+use dropbox_analysis::stream::run_one;
+use dropbox_analysis::users::InferUsersAcc;
+use dropbox_analysis::{Accumulate, Provider};
 use nettrace::flow::{DirStats, FlowClose, NotifyMeta};
 use nettrace::{Endpoint, FlowKey, FlowRecord, Ipv4};
 use simcore::proptest::{any_u64, vec_of};
 use simcore::{prop_assert_eq, proptest, SimDuration, SimTime};
+use std::fmt::Debug;
 
 const DAYS: u32 = 3;
 
@@ -139,143 +138,107 @@ fn record_from_seed(s: u64) -> FlowRecord {
     f
 }
 
-/// A comparable projection of a merged session (`DeviceSession` carries
-/// no `PartialEq` of its own).
-fn session_key(s: &DeviceSession) -> (u64, Ipv4, SimTime, SimTime, Vec<u64>) {
-    (
-        s.host_int,
-        s.household,
-        s.start,
-        s.end,
-        s.namespaces.clone(),
-    )
+/// Fold `flows` in contiguous pieces cut at `cuts` (sorted; repeated cuts
+/// make empty pieces) and merge the pieces in stream order.
+fn fold_in_pieces<A: Accumulate>(flows: &[FlowRecord], cuts: &[usize], new: &dyn Fn() -> A) -> A {
+    let bounds: Vec<usize> = std::iter::once(0)
+        .chain(cuts.iter().copied())
+        .chain(std::iter::once(flows.len()))
+        .collect();
+    let mut pieces = bounds.windows(2).map(|w| {
+        let mut acc = new();
+        for f in &flows[w[0]..w[1]] {
+            acc.observe(f);
+        }
+        acc
+    });
+    let mut acc = pieces.next().expect("at least one piece");
+    for later in pieces {
+        acc.merge(later);
+    }
+    acc
 }
 
-/// Run every accumulator under test through one shared pipeline pass and
-/// render the finished results (plus the live-state total) into a
-/// deterministic string.
-fn shared_pass_digest(flows: &[FlowRecord]) -> String {
-    let mut overview = OverviewAcc::default();
-    let mut totals = DropboxTotalsAcc::default();
-    let mut roles = RoleBreakdownAcc::default();
-    let mut servers = StorageServersAcc::new(DAYS);
-    let mut providers = ProviderSeriesAcc::new(DAYS);
-    let mut daily = DailyTotalAcc::new(DAYS);
-    let mut raw = RawDurationsAcc::default();
-    let mut merged = MergedSessionsAcc::default();
-    let mut devices = DistinctDevicesAcc::default();
-    let mut namespaces = NamespacesPerDeviceAcc::default();
-    let mut startups = StartupsAcc::new(DAYS);
-    let mut users = InferUsersAcc::default();
-    let mut households = HouseholdsAcc::default();
-    let state_bytes;
-    {
-        let mut p = Pipeline::new();
-        p.register(&mut overview)
-            .register(&mut totals)
-            .register(&mut roles)
-            .register(&mut servers)
-            .register(&mut providers)
-            .register(&mut daily)
-            .register(&mut raw)
-            .register(&mut merged)
-            .register(&mut devices)
-            .register(&mut namespaces)
-            .register(&mut startups)
-            .register(&mut users)
-            .register(&mut households);
-        p.run(flows);
-        state_bytes = p.state_bytes();
+/// The merged fold equals one fold over the whole stream: the finished
+/// results (compared through `Debug`, which prints every f64 exactly) and
+/// the live-state estimate both.
+fn assert_merge_is_concatenation<A: Accumulate>(
+    name: &str,
+    flows: &[FlowRecord],
+    cuts: &[usize],
+    new: impl Fn() -> A,
+) where
+    A::Output: Debug,
+{
+    let merged = fold_in_pieces(flows, cuts, &new);
+    let mut whole = new();
+    for f in flows {
+        whole.observe(f);
     }
-    format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{state_bytes}",
-        overview.finish(),
-        totals.finish(),
-        roles.finish(),
-        servers.finish(),
-        providers.finish(),
-        daily.finish(),
-        raw.finish(),
-        merged.finish().iter().map(session_key).collect::<Vec<_>>(),
-        devices.finish(),
-        namespaces.finish(),
-        startups.finish(),
-        users.finish(),
-        households.finish(),
-    )
+    assert_eq!(merged.state_bytes(), whole.state_bytes(), "{name} state");
+    assert_eq!(
+        format!("{:?}", merged.finish()),
+        format!("{:?}", whole.finish()),
+        "{name} cut at {cuts:?}"
+    );
 }
 
 proptest! {
-    #![cases(48)]
+    #![cases(64)]
 
-    /// One shared fan-out pass computes exactly what the legacy
-    /// materialised entry points compute in independent whole-vector
-    /// passes, for any mix of traffic kinds.
+    /// Folding any contiguous cut of the stream and merging the pieces in
+    /// order equals one fold over the whole stream, for every accumulator
+    /// and any mix of traffic kinds — households included, whose records
+    /// here interleave across the cuts.
     #[test]
-    fn shared_pipeline_matches_independent_legacy_passes(
+    fn merged_pieces_equal_one_fold(
         seeds in vec_of(any_u64(), 0..60),
+        cut_seeds in vec_of(any_u64(), 0..5),
     ) {
         let flows: Vec<FlowRecord> = seeds.iter().map(|&s| record_from_seed(s)).collect();
-        let mut ds = Dataset::new("Prop", true, DAYS);
-        ds.flows = flows.clone();
-
-        let mut overview = OverviewAcc::default();
-        let mut totals = DropboxTotalsAcc::default();
-        let mut roles = RoleBreakdownAcc::default();
-        let mut servers = StorageServersAcc::new(DAYS);
-        let mut providers = ProviderSeriesAcc::new(DAYS);
-        let mut daily = DailyTotalAcc::new(DAYS);
-        let mut raw = RawDurationsAcc::default();
-        let mut merged = MergedSessionsAcc::default();
-        let mut devices = DistinctDevicesAcc::default();
-        let mut namespaces = NamespacesPerDeviceAcc::default();
-        let mut startups = StartupsAcc::new(DAYS);
-        let mut users = InferUsersAcc::default();
-        let mut households = HouseholdsAcc::default();
-        let records;
-        {
-            let mut p = Pipeline::new();
-            p.register(&mut overview)
-                .register(&mut totals)
-                .register(&mut roles)
-                .register(&mut servers)
-                .register(&mut providers)
-                .register(&mut daily)
-                .register(&mut raw)
-                .register(&mut merged)
-                .register(&mut devices)
-                .register(&mut namespaces)
-                .register(&mut startups)
-                .register(&mut users)
-                .register(&mut households);
-            ds.stream_into(&mut p);
-            records = p.records();
-        }
-        prop_assert_eq!(records, flows.len() as u64);
-
-        prop_assert_eq!(overview.finish(), ds.overview());
-        prop_assert_eq!(totals.finish(), ds.dropbox_totals());
-        prop_assert_eq!(roles.finish(), ds.role_breakdown());
-        prop_assert_eq!(servers.finish(), ds.storage_servers_per_day());
-        prop_assert_eq!(providers.finish(), ds.provider_series());
-        prop_assert_eq!(daily.finish(), ds.daily_total_bytes());
-        prop_assert_eq!(raw.finish(), raw_session_durations(&flows));
-        prop_assert_eq!(
-            merged.finish().iter().map(session_key).collect::<Vec<_>>(),
-            merged_sessions(&flows).iter().map(session_key).collect::<Vec<_>>()
-        );
-        prop_assert_eq!(devices.finish(), distinct_devices(&flows));
-        prop_assert_eq!(namespaces.finish(), namespaces_per_device(&flows));
-        prop_assert_eq!(startups.finish(), startups_per_day(&flows, DAYS));
-        prop_assert_eq!(users.finish(), infer_users(&flows));
-        prop_assert_eq!(households.finish(), aggregate_households(&flows));
+        let mut cuts: Vec<usize> = cut_seeds
+            .iter()
+            .map(|&c| (c % (flows.len() as u64 + 1)) as usize)
+            .collect();
+        cuts.sort_unstable();
+        let f = &flows;
+        let c = &cuts;
+        assert_merge_is_concatenation("overview", f, c, OverviewAcc::default);
+        assert_merge_is_concatenation("totals", f, c, DropboxTotalsAcc::default);
+        assert_merge_is_concatenation("roles", f, c, RoleBreakdownAcc::default);
+        assert_merge_is_concatenation("servers", f, c, || StorageServersAcc::new(DAYS));
+        assert_merge_is_concatenation("providers", f, c, || ProviderSeriesAcc::new(DAYS));
+        assert_merge_is_concatenation("daily dropbox", f, c, || {
+            DailyBytesAcc::new(Provider::Dropbox, DAYS)
+        });
+        assert_merge_is_concatenation("daily total", f, c, || DailyTotalAcc::new(DAYS));
+        assert_merge_is_concatenation("raw durations", f, c, RawDurationsAcc::default);
+        assert_merge_is_concatenation("sessions", f, c, MergedSessionsAcc::default);
+        assert_merge_is_concatenation("devices", f, c, DistinctDevicesAcc::default);
+        assert_merge_is_concatenation("devices/household", f, c, DevicesPerHouseholdAcc::default);
+        assert_merge_is_concatenation("namespaces", f, c, NamespacesPerDeviceAcc::default);
+        assert_merge_is_concatenation("startups", f, c, || StartupsAcc::new(DAYS));
+        assert_merge_is_concatenation("hourly", f, c, || HourlyProfilesAcc::new(DAYS));
+        assert_merge_is_concatenation("holiday dip", f, c, || HolidayDipAcc::new(DAYS));
+        assert_merge_is_concatenation("users", f, c, InferUsersAcc::default);
+        assert_merge_is_concatenation("households", f, c, HouseholdsAcc::default);
+        assert_merge_is_concatenation("optional", f, c, || Some(OverviewAcc::default()));
+        assert_merge_is_concatenation("disabled", f, c, || None::<OverviewAcc>);
     }
 
-    /// Two pipeline passes over the same stream are identical — results
-    /// and reported live state both (no hidden run-to-run state).
+    /// Two folds over the same stream are identical — results and reported
+    /// live state both (no hidden run-to-run state).
     #[test]
-    fn pipeline_double_run_is_deterministic(seeds in vec_of(any_u64(), 0..60)) {
+    fn fold_double_run_is_deterministic(seeds in vec_of(any_u64(), 0..60)) {
         let flows: Vec<FlowRecord> = seeds.iter().map(|&s| record_from_seed(s)).collect();
-        prop_assert_eq!(shared_pass_digest(&flows), shared_pass_digest(&flows));
+        let digest = || {
+            let acc = fold_in_pieces(&flows, &[flows.len() / 2], &HouseholdsAcc::default);
+            format!("{}|{:?}", acc.state_bytes(), acc.finish())
+        };
+        prop_assert_eq!(digest(), digest());
+        prop_assert_eq!(
+            format!("{:?}", run_one(&flows, HourlyProfilesAcc::new(DAYS))),
+            format!("{:?}", run_one(&flows, HourlyProfilesAcc::new(DAYS)))
+        );
     }
 }

@@ -266,6 +266,13 @@ pub fn fault_ablation() -> Report {
                 self.aborted += 1;
             }
         }
+        fn merge(&mut self, later: Self) {
+            self.flows += later.flows;
+            self.bytes += later.bytes;
+            self.rtx += later.rtx;
+            self.rst += later.rst;
+            self.aborted += later.aborted;
+        }
         fn finish(self) -> Self::Output {
             (self.flows, self.bytes, self.rtx, self.rst, self.aborted)
         }

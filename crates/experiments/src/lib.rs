@@ -5,10 +5,11 @@
 //!   `workload::ShardPlan::paper` on `simcore::par`'s deterministic
 //!   fork-join executor; `--jobs N` changes wall-clock time only, never
 //!   a single output byte,
-//! * [`summary`] — the single-pass streaming summary: one
-//!   [`dropbox_analysis::Pipeline`] walk per vantage feeds every
-//!   accumulator, and tables/figures render from the resulting
-//!   [`summary::CaptureSummary`] without re-scanning flows,
+//! * [`summary`] — the single-pass streaming summary: each household
+//!   range folds its records into a [`summary::VantageFold`] on the worker
+//!   that simulates it, the folds merge in household order, and
+//!   tables/figures render from the resulting [`summary::CaptureSummary`]
+//!   without a capture ever being held in memory,
 //! * [`report`] — plain-text/CSV report plumbing,
 //! * [`tables`] — Tables 1–5,
 //! * [`figures`] — Figures 1–21,
@@ -48,5 +49,37 @@ pub mod tables;
 pub mod validation;
 
 pub use report::Report;
-pub use run::{run_capture, Capture};
+pub use run::{run_capture, run_summary, Capture};
 pub use summary::CaptureSummary;
+
+/// A report rendered from a capture summary.
+pub type SummaryReport = fn(&CaptureSummary) -> Report;
+
+/// Every report `repro` renders from a [`CaptureSummary`], by id, in
+/// output order.
+pub const SUMMARY_REPORTS: [(&str, SummaryReport); 24] = [
+    ("table2", tables::table2),
+    ("table3", tables::table3),
+    ("table4", tables::table4),
+    ("table5", tables::table5_report),
+    ("fig2", figures::fig2),
+    ("fig3", figures::fig3),
+    ("fig4", figures::fig4),
+    ("fig5", figures::fig5),
+    ("fig6", figures::fig6),
+    ("fig7", figures::fig7),
+    ("fig8", figures::fig8),
+    ("fig9", figures::fig9),
+    ("fig10", figures::fig10),
+    ("fig11", figures::fig11),
+    ("fig12", figures::fig12),
+    ("fig13", figures::fig13),
+    ("fig14", figures::fig14),
+    ("fig15", figures::fig15),
+    ("fig16", figures::fig16),
+    ("fig17", figures::fig17),
+    ("fig18", figures::fig18),
+    ("fig20", figures::fig20),
+    ("fig21", figures::fig21),
+    ("validation", validation::report),
+];

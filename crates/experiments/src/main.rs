@@ -49,9 +49,7 @@ use experiments::ablations;
 use experiments::figures;
 use experiments::recommendations;
 use experiments::report::Report;
-use experiments::run::run_capture_with_plan;
 use experiments::tables;
-use experiments::validation;
 use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -269,27 +267,35 @@ fn main() {
         );
         let t0 = Instant::now();
         let shard_plan = ShardPlan::paper().with_sub_shards(hh_shards);
-        let cap = run_capture_with_plan(&shard_plan, scale, seed, &plan, resolved_jobs);
-        eprintln!("simulation finished in {:.1}s", t0.elapsed().as_secs_f64());
-        let total_flows: usize = cap.vantages.iter().map(|v| v.dataset.flows.len()).sum();
-        eprintln!("flow records: {total_flows}");
-        // One pass over every record feeds all analyses (tables + figures).
-        let t1 = Instant::now();
-        let summary = experiments::CaptureSummary::compute(&cap);
+        // One pass, on the workers, feeds every analysis (tables, figures
+        // and validation) as the households are simulated.
+        let (summary, capture) = experiments::run_summary(
+            &shard_plan,
+            scale,
+            seed,
+            &plan,
+            resolved_jobs,
+            export_traces,
+        );
         eprintln!(
-            "summary pass: {} records through {} accumulator stages in {:.1}s \
-             (peak accumulator state {} kB)",
+            "simulation and summary pass finished in {:.1}s",
+            t0.elapsed().as_secs_f64()
+        );
+        eprintln!(
+            "flow records: {} (all five captures) through {} accumulator stages \
+             (accumulator state {} kB)",
             summary.records(),
             summary.stages(),
-            t1.elapsed().as_secs_f64(),
             summary.state_bytes() / 1024
         );
         if plan.is_active() {
             let mut stats = workload::FaultStats::default();
-            for out in cap.vantages.iter().chain(std::iter::once(&cap.campus1_v14)) {
-                stats.sync_retries += out.fault_stats.sync_retries;
-                stats.aborted_flows += out.fault_stats.aborted_flows;
-                stats.notify_aborts += out.fault_stats.notify_aborts;
+            for v in summary
+                .vantages
+                .iter()
+                .chain(std::iter::once(&summary.campus1_v14))
+            {
+                stats.absorb(v.fault_stats);
             }
             eprintln!(
                 "injected faults: {} sync retries, {} aborted transfers, {} notification aborts",
@@ -297,47 +303,19 @@ fn main() {
             );
         }
 
-        // Figures/tables are pure renderers over the summary; only the
-        // truth-scoring validation still needs the capture itself.
-        type Gen = Box<dyn Fn(&experiments::Capture, &experiments::CaptureSummary) -> Report>;
-        let gens: Vec<(&str, Gen)> = vec![
-            ("table2", Box::new(|_, s| tables::table2(s))),
-            ("table3", Box::new(|_, s| tables::table3(s))),
-            ("table4", Box::new(|_, s| tables::table4(s))),
-            ("table5", Box::new(|_, s| tables::table5_report(s))),
-            ("fig2", Box::new(|_, s| figures::fig2(s))),
-            ("fig3", Box::new(|_, s| figures::fig3(s))),
-            ("fig4", Box::new(|_, s| figures::fig4(s))),
-            ("fig5", Box::new(|_, s| figures::fig5(s))),
-            ("fig6", Box::new(|_, s| figures::fig6(s))),
-            ("fig7", Box::new(|_, s| figures::fig7(s))),
-            ("fig8", Box::new(|_, s| figures::fig8(s))),
-            ("fig9", Box::new(|_, s| figures::fig9(s))),
-            ("fig10", Box::new(|_, s| figures::fig10(s))),
-            ("fig11", Box::new(|_, s| figures::fig11(s))),
-            ("fig12", Box::new(|_, s| figures::fig12(s))),
-            ("fig13", Box::new(|_, s| figures::fig13(s))),
-            ("fig14", Box::new(|_, s| figures::fig14(s))),
-            ("fig15", Box::new(|_, s| figures::fig15(s))),
-            ("fig16", Box::new(|_, s| figures::fig16(s))),
-            ("fig17", Box::new(|_, s| figures::fig17(s))),
-            ("fig18", Box::new(|_, s| figures::fig18(s))),
-            ("fig20", Box::new(|_, s| figures::fig20(s))),
-            ("fig21", Box::new(|_, s| figures::fig21(s))),
-            ("validation", Box::new(|c, _| validation::validate(c))),
-        ];
-        for (id, gen) in gens {
+        // Figures, tables and validation are pure renderers over the
+        // summary.
+        for (id, gen) in experiments::SUMMARY_REPORTS {
             if want(id) {
-                reports.push(gen(&cap, &summary));
+                reports.push(gen(&summary));
             }
         }
 
-        if export_traces {
-            for out in &cap.vantages {
+        if let Some(cap) = capture {
+            for out in cap.vantages {
                 let name = out.dataset.name.to_lowercase().replace(' ', "");
                 let path = out_dir.join(format!("traces_{name}.jsonl"));
-                // simlint: allow(full-materialize) — export needs an owned copy to anonymise
-                let mut flows = out.dataset.flows.clone();
+                let mut flows = out.dataset.flows;
                 nettrace::flowlog::anonymise_clients(&mut flows);
                 let file = fs::File::create(&path).expect("create trace export");
                 nettrace::flowlog::write_jsonl(std::io::BufWriter::new(file), &flows)

@@ -34,7 +34,7 @@ use simcore::{Rng, SimDuration, SimTime};
 use tcpmodel::{simulate, AccessLink, PathParams, TcpParams};
 use tstat::Monitor;
 use workload::shard::ShardPlan;
-use workload::{simulate_shards, FaultPlan, SimOutput, VantageKind};
+use workload::{simulate_shards_into, FaultPlan, SpanFold, VantageKind};
 
 /// Parameters of one provider-matrix run.
 #[derive(Clone, Copy, Debug)]
@@ -93,36 +93,77 @@ struct SpecTotals {
     storage_flows: usize,
 }
 
-fn storage_totals(spec: &'static ProviderSpec, out: &SimOutput) -> SpecTotals {
-    let mut store = Vec::new();
-    let mut retrieve = Vec::new();
-    let mut up_bytes = 0u64;
-    let mut down_bytes = 0u64;
-    let mut storage_flows = 0usize;
-    // simlint: allow(full-materialize) — per-spec matrix cell: the storage split depends on the spec's own naming, not the shared streaming accumulators
-    for f in &out.dataset.flows {
-        let is_storage = server_name(f).is_some_and(|n| spec.is_storage_name(n));
-        if !is_storage {
-            continue;
+/// The fold behind [`SpecTotals`]: each household range of a matrix cell
+/// folds its storage flows — picked by the spec's own naming — on the
+/// worker that simulates it, and the ranges merge in household order.
+struct SpecTotalsFold {
+    spec: &'static ProviderSpec,
+    store: Vec<f64>,
+    retrieve: Vec<f64>,
+    up_bytes: u64,
+    down_bytes: u64,
+    storage_flows: usize,
+}
+
+impl SpecTotalsFold {
+    fn new(spec: &'static ProviderSpec) -> Self {
+        SpecTotalsFold {
+            spec,
+            store: Vec::new(),
+            retrieve: Vec::new(),
+            up_bytes: 0,
+            down_bytes: 0,
+            storage_flows: 0,
         }
-        storage_flows += 1;
-        up_bytes += f.up.bytes;
-        down_bytes += f.down.bytes;
-        if let Some(thr) = throughput_bps(f) {
+    }
+
+    fn finish(self) -> SpecTotals {
+        SpecTotals {
+            store_thr: Ecdf::new(self.store),
+            retrieve_thr: Ecdf::new(self.retrieve),
+            up_bytes: self.up_bytes,
+            down_bytes: self.down_bytes,
+            storage_flows: self.storage_flows,
+        }
+    }
+}
+
+impl SpanFold for SpecTotalsFold {
+    fn accept(&mut self, f: FlowRecord, _truth: Option<dropbox::FlowTruth>) {
+        if !server_name(&f).is_some_and(|n| self.spec.is_storage_name(n)) {
+            return;
+        }
+        self.storage_flows += 1;
+        self.up_bytes += f.up.bytes;
+        self.down_bytes += f.down.bytes;
+        if let Some(thr) = throughput_bps(&f) {
             if f.up.bytes >= f.down.bytes {
-                store.push(thr);
+                self.store.push(thr);
             } else {
-                retrieve.push(thr);
+                self.retrieve.push(thr);
             }
         }
     }
-    SpecTotals {
-        store_thr: Ecdf::new(store),
-        retrieve_thr: Ecdf::new(retrieve),
-        up_bytes,
-        down_bytes,
-        storage_flows,
+
+    fn merge(&mut self, later: Self) {
+        self.store.extend(later.store);
+        self.retrieve.extend(later.retrieve);
+        self.up_bytes += later.up_bytes;
+        self.down_bytes += later.down_bytes;
+        self.storage_flows += later.storage_flows;
     }
+}
+
+/// Simulate one matrix cell and fold it into its storage-plane totals.
+fn spec_totals(spec: &'static ProviderSpec, cfg: &MatrixConfig, jobs: usize) -> SpecTotals {
+    let plan = matrix_plan(spec, cfg);
+    let (fold, _) =
+        simulate_shards_into(&plan, cfg.scale, cfg.seed, &FaultPlan::none(), jobs, |_| {
+            SpecTotalsFold::new(spec)
+        })
+        .pop()
+        .expect("one capture per matrix cell");
+    fold.finish()
 }
 
 /// Run the Home 1 workload once per provider spec and report the
@@ -147,10 +188,7 @@ pub fn provider_matrix(cfg: &MatrixConfig, jobs: usize) -> Report {
     ]);
     let mut all_cdfs: Vec<(String, Ecdf)> = Vec::new();
     for prov in spec::ALL {
-        let plan = matrix_plan(prov, cfg);
-        let mut outs = simulate_shards(&plan, cfg.scale, cfg.seed, &FaultPlan::none(), jobs);
-        let out = outs.pop().expect("one capture per matrix cell");
-        let t = storage_totals(prov, &out);
+        let t = spec_totals(prov, cfg, jobs);
         body.push_str(&cdf_summary(
             &format!("{} store throughput (bit/s)", prov.name),
             &t.store_thr,
@@ -329,6 +367,7 @@ pub fn bundling_vs_rtt(seed: u64) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workload::{simulate_shards, SimOutput};
 
     #[test]
     fn matrix_cells_are_deterministic_across_jobs_and_shards() {
@@ -361,11 +400,7 @@ mod tests {
             days: 5,
             ..MatrixConfig::default()
         };
-        let up_of = |prov: &'static ProviderSpec| -> u64 {
-            let plan = matrix_plan(prov, &cfg);
-            let outs = simulate_shards(&plan, cfg.scale, cfg.seed, &FaultPlan::none(), 2);
-            storage_totals(prov, &outs[0]).up_bytes
-        };
+        let up_of = |prov: &'static ProviderSpec| -> u64 { spec_totals(prov, &cfg, 2).up_bytes };
         let dropbox = up_of(&spec::DROPBOX);
         let skydrive = up_of(&spec::SKYDRIVE_LIKE);
         assert!(dropbox > 0, "dropbox cell must produce storage traffic");

@@ -4,13 +4,21 @@
 //! The five captures (four Mar–May vantage points + the Campus 1 Jun/Jul
 //! re-capture) are cut into per-household sub-capture shards by
 //! [`workload::ShardPlan::paper`] and executed on `simcore::par`'s
-//! deterministic fork-join executor. `jobs` and the sub-shard count `K`
-//! control wall-clock time only: the assembled [`Capture`] is
-//! byte-identical for every worker and sub-shard count
-//! (`crates/workload/tests/parallel_identity.rs` pins this, per capture,
-//! down to the serialised flow logs).
+//! deterministic fork-join executor. [`run_summary`] — the `repro` path —
+//! folds every household range into a [`VantageFold`] on the worker that
+//! simulates it, so the capture is never held in memory; [`run_capture`]
+//! materialises it instead, for tests, examples and benches. `jobs` and
+//! the sub-shard count `K` control wall-clock time only: the summary and
+//! the assembled [`Capture`] are byte-identical for every worker and
+//! sub-shard count (`crates/workload/tests/parallel_identity.rs` pins
+//! this, per capture, down to the serialised flow logs).
 
-use workload::{simulate_shards, FaultPlan, ShardPlan, SimOutput, VantageKind};
+use crate::summary::{CaptureSummary, VantageFold};
+use dropbox::FlowTruth;
+use nettrace::FlowRecord;
+use workload::{
+    simulate_shards, simulate_shards_into, FaultPlan, ShardPlan, SimOutput, SpanFold, VantageKind,
+};
 
 /// A full reproduction run: the four Mar–May captures plus the Campus 1
 /// Jun/Jul re-capture with Dropbox 1.4.0 (Table 4).
@@ -65,6 +73,74 @@ pub fn run_capture_with_plan(
         vantages: outputs,
         campus1_v14,
     }
+}
+
+/// What `repro` folds each household range into: the summary fold, plus
+/// the materialised records only when they are asked for (trace export).
+struct RunFold {
+    summary: VantageFold,
+    records: Option<SimOutput>,
+}
+
+impl SpanFold for RunFold {
+    fn accept(&mut self, flow: FlowRecord, truth: Option<FlowTruth>) {
+        self.summary.observe(&flow, truth.as_ref());
+        if let Some(out) = &mut self.records {
+            out.accept(flow, truth);
+        }
+    }
+
+    fn merge(&mut self, later: Self) {
+        self.summary.merge(later.summary);
+        if let (Some(out), Some(later)) = (&mut self.records, later.records) {
+            out.merge(later);
+        }
+    }
+}
+
+/// Simulate every capture of `plan` and fold it straight into its summary
+/// — one pass, on the workers, with no capture held in memory. With
+/// `keep_records` the same pass also materialises the [`Capture`] (for
+/// trace export). The plan must end with the Campus 1 re-capture, as
+/// [`ShardPlan::paper`] does. Output bytes are independent of `jobs` and
+/// of the plan's sub-shard count.
+pub fn run_summary(
+    plan: &ShardPlan,
+    scale: f64,
+    seed: u64,
+    faults: &FaultPlan,
+    jobs: usize,
+    keep_records: bool,
+) -> (CaptureSummary, Option<Capture>) {
+    let folds = simulate_shards_into(plan, scale, seed, faults, jobs, |shard| RunFold {
+        summary: VantageFold::for_shard(shard),
+        records: keep_records.then(|| SimOutput::new(&shard.config(scale))),
+    });
+    let mut vantages = Vec::new();
+    let mut outputs = Vec::new();
+    for (fold, stats) in folds {
+        if let Some(out) = fold.records {
+            outputs.push(out.with_stats(stats.clone()));
+        }
+        vantages.push(fold.summary.finish(stats));
+    }
+    let campus1_v14 = vantages.pop().expect("plan ends with the re-capture");
+    let summary = CaptureSummary {
+        scale,
+        seed,
+        vantages,
+        campus1_v14,
+    };
+    let capture = keep_records.then(|| {
+        let campus1_v14 = outputs.pop().expect("plan ends with the re-capture");
+        Capture {
+            scale,
+            seed,
+            vantages: outputs,
+            campus1_v14,
+        }
+    });
+    (summary, capture)
 }
 
 #[cfg(test)]

@@ -1,11 +1,13 @@
 //! Single-pass capture summaries.
 //!
 //! Every flow-derived statistic the tables and figures consume is
-//! computed here by fanning each vantage point's record stream through
-//! **one** [`Pipeline`] — the experiment harness no longer re-scans
-//! `dataset.flows` once per figure. A [`VantageSummary`] holds the
-//! finished accumulator outputs; the figure/table generators are pure
-//! renderers over it.
+//! computed here by folding each vantage point's record stream through
+//! **one** [`VantageFold`] — the experiment harness never re-scans a
+//! record vector per figure, and `repro` never materialises one: each
+//! household range folds on the worker that simulates it and the folds
+//! merge in household order (`crate::run::run_summary`). A
+//! [`VantageSummary`] holds the finished accumulator outputs; the
+//! figure/table generators are pure renderers over it.
 //!
 //! Two kinds of state live in the accumulators:
 //!
@@ -20,6 +22,7 @@
 //! home-network household tables, …) are only accumulated where a
 //! consumer exists, controlled by [`SummarySpec`].
 
+use dropbox::FlowTruth;
 use dropbox_analysis::chunks::{estimate_chunks, reverse_payload_per_chunk, ChunkGroup};
 use dropbox_analysis::classify::{
     dropbox_role, ssl_adjusted, storage_tag, transfer_size, DropboxRole, Provider, StorageTag,
@@ -33,7 +36,6 @@ use dropbox_analysis::sessions::{
     DevicesPerHouseholdAcc, HolidayDipAcc, HourlyProfiles, HourlyProfilesAcc,
     NamespacesPerDeviceAcc, RawDurationsAcc, StartupsAcc,
 };
-use dropbox_analysis::stream::Pipeline;
 use dropbox_analysis::throughput::{throughput_bps, transfer_duration, ThetaModel};
 use dropbox_analysis::Accumulate;
 use nettrace::{FlowRecord, Ipv4};
@@ -41,9 +43,11 @@ use simcore::stats::{LogBins, OrderlessSum};
 use simcore::SimDuration;
 use std::collections::BTreeMap;
 use std::mem::size_of;
-use workload::{SimOutput, VantageKind};
+use workload::shard::RECAPTURE_SEED_TAG;
+use workload::{CaptureShard, FaultStats, SimOutput, SpanFold, VantageKind, VantageStats};
 
 use crate::run::Capture;
+use crate::validation::{TruthScoreAcc, TruthScores};
 
 /// Per-tag (store/retrieve) sample vectors of client-storage flows, in
 /// stream order — the inputs of Figs. 7, 8, 21 and Table 4.
@@ -59,6 +63,17 @@ pub struct TagSamples {
     pub transfer_sizes: Vec<f64>,
     /// Throughputs of flows with a defined duration, Table 4.
     pub throughputs: Vec<f64>,
+}
+
+impl TagSamples {
+    /// Append the samples of the flows that follow these in the stream.
+    fn append(&mut self, later: TagSamples) {
+        self.sizes.extend(later.sizes);
+        self.chunks.extend(later.chunks);
+        self.rev_payload.extend(later.rev_payload);
+        self.transfer_sizes.extend(later.transfer_sizes);
+        self.throughputs.extend(later.throughputs);
+    }
 }
 
 /// All per-tag storage-flow statistics of one vantage point.
@@ -119,6 +134,14 @@ impl Accumulate for StorageFlowsAcc {
         }
     }
 
+    fn merge(&mut self, later: Self) {
+        let (out, later) = (&mut self.out, later.out);
+        out.store.append(later.store);
+        out.retrieve.append(later.retrieve);
+        out.store_up_adj += later.store_up_adj;
+        out.retrieve_down_adj += later.retrieve_down_adj;
+    }
+
     fn finish(self) -> StorageFlows {
         self.out
     }
@@ -171,6 +194,11 @@ impl Accumulate for RttAcc {
         }
     }
 
+    fn merge(&mut self, later: Self) {
+        self.out.storage.extend(later.out.storage);
+        self.out.control.extend(later.out.control);
+    }
+
     fn finish(self) -> RttPlanes {
         self.out
     }
@@ -218,6 +246,14 @@ impl Accumulate for WebAcc {
         }
     }
 
+    fn merge(&mut self, later: Self) {
+        let (out, later) = (&mut self.out, later.out);
+        out.web_up.extend(later.web_up);
+        out.web_down.extend(later.web_down);
+        out.direct_down.extend(later.direct_down);
+        out.web_storage_flows += later.web_storage_flows;
+    }
+
     fn finish(self) -> WebStats {
         self.out
     }
@@ -243,6 +279,17 @@ pub struct Fig9Tag {
     pub thr_sum: f64,
     /// Maximum throughput.
     pub thr_max: f64,
+}
+
+impl Fig9Tag {
+    /// Append the rows and counts of the flows that follow these (the
+    /// throughput sum is filled in once, by [`Fig9Acc`]'s `finish`).
+    fn append(&mut self, later: Fig9Tag) {
+        self.rows.push_str(&later.rows);
+        self.n += later.n;
+        self.above_theta += later.above_theta;
+        self.thr_max = self.thr_max.max(later.thr_max);
+    }
 }
 
 /// Fig. 9 scatter statistics (Campus 2).
@@ -312,6 +359,13 @@ impl Accumulate for Fig9Acc {
             "{tag:?},{bytes},{x:.0},{c},{}\n",
             ChunkGroup::of(c).label()
         ));
+    }
+
+    fn merge(&mut self, later: Self) {
+        self.out.store.append(later.out.store);
+        self.out.retrieve.append(later.out.retrieve);
+        self.store_thr.merge(&later.store_thr);
+        self.retr_thr.merge(&later.retr_thr);
     }
 
     fn finish(self) -> Fig9Data {
@@ -395,6 +449,22 @@ impl Accumulate for Fig10Acc {
         grid[g][b] = Some(grid[g][b].map_or(secs, |m: f64| m.min(secs)));
     }
 
+    fn merge(&mut self, later: Self) {
+        for (mine, theirs) in [
+            (&mut self.out.store, later.out.store),
+            (&mut self.out.retrieve, later.out.retrieve),
+        ] {
+            for (row, later_row) in mine.iter_mut().zip(theirs) {
+                for (m, l) in row.iter_mut().zip(later_row) {
+                    *m = match (*m, l) {
+                        (Some(a), Some(b)) => Some(a.min(b)),
+                        (a, b) => a.or(b),
+                    };
+                }
+            }
+        }
+    }
+
     fn finish(self) -> Fig10Data {
         self.out
     }
@@ -441,6 +511,12 @@ impl Accumulate for Fig20Acc {
             StorageTag::Retrieve => self.out.retrieve += 1,
         }
         self.out.rows.push_str(&format!("{u},{d},{tag:?}\n"));
+    }
+
+    fn merge(&mut self, later: Self) {
+        self.out.rows.push_str(&later.out.rows);
+        self.out.store += later.out.store;
+        self.out.retrieve += later.out.retrieve;
     }
 
     fn finish(self) -> Fig20Data {
@@ -505,6 +581,16 @@ impl SummarySpec {
     pub fn recapture() -> Self {
         Self::default()
     }
+
+    /// The statistics the reports consume from one capture of the paper
+    /// plan.
+    pub fn for_shard(shard: &CaptureShard) -> Self {
+        if shard.seed_tag == RECAPTURE_SEED_TAG {
+            Self::recapture()
+        } else {
+            Self::for_kind(shard.kind)
+        }
+    }
 }
 
 /// Everything the reports need from one vantage point, computed in a
@@ -516,9 +602,13 @@ pub struct VantageSummary {
     pub days: u32,
     /// Chunk transfers served by LAN Sync (from the driver, not flows).
     pub lan_synced: u64,
-    /// Records the pipeline observed.
+    /// Ground-truth user accounts (from the driver, not flows).
+    pub truth_users: Vec<Vec<u64>>,
+    /// Fault-injection ground truth (from the driver, not flows).
+    pub fault_stats: FaultStats,
+    /// Records the fold observed.
     pub records: u64,
-    /// Accumulator stages registered in the pipeline.
+    /// Accumulators the fold fed.
     pub stages: usize,
     /// Accumulator state at the end of the pass (the peak: accumulator
     /// state only grows during a pass).
@@ -565,115 +655,240 @@ pub struct VantageSummary {
     pub fig10: Option<Fig10Data>,
     /// Fig. 20 scatter (where [`SummarySpec::fig20`]).
     pub fig20: Option<Fig20Data>,
+    /// The inference methods scored against ground truth.
+    pub truth: TruthScores,
+}
+
+/// The fold behind a [`VantageSummary`]: every accumulator a
+/// [`SummarySpec`] asks for plus the ground-truth scoring, fed
+/// `(record, truth)` in one pass. It is the [`SpanFold`] each household
+/// range of a capture folds into; range folds merge in household order.
+pub struct VantageFold {
+    name: String,
+    days: u32,
+    records: u64,
+    overview: OverviewAcc,
+    totals: DropboxTotalsAcc,
+    roles: RoleBreakdownAcc,
+    servers: StorageServersAcc,
+    storage: StorageFlowsAcc,
+    rtt: RttAcc,
+    web: WebAcc,
+    startups: StartupsAcc,
+    holiday: HolidayDipAcc,
+    hourly: HourlyProfilesAcc,
+    raw: RawDurationsAcc,
+    provider_series: Option<ProviderSeriesAcc>,
+    daily_dropbox: Option<DailyBytesAcc>,
+    daily_youtube: Option<DailyBytesAcc>,
+    daily_total: Option<DailyTotalAcc>,
+    households: Option<HouseholdsAcc>,
+    devices: Option<DevicesPerHouseholdAcc>,
+    namespaces: Option<NamespacesPerDeviceAcc>,
+    fig9: Option<Fig9Acc>,
+    fig10: Option<Fig10Acc>,
+    fig20: Option<Fig20Acc>,
+    truth: TruthScoreAcc,
+}
+
+impl VantageFold {
+    /// An empty fold over a `days`-day capture of vantage point `name`.
+    pub fn new(name: &str, days: u32, spec: &SummarySpec) -> Self {
+        VantageFold {
+            name: name.to_string(),
+            days,
+            records: 0,
+            overview: OverviewAcc::default(),
+            totals: DropboxTotalsAcc::default(),
+            roles: RoleBreakdownAcc::default(),
+            servers: StorageServersAcc::new(days),
+            storage: StorageFlowsAcc::default(),
+            rtt: RttAcc::default(),
+            web: WebAcc::default(),
+            startups: StartupsAcc::new(days),
+            holiday: HolidayDipAcc::new(days),
+            hourly: HourlyProfilesAcc::new(days),
+            raw: RawDurationsAcc::default(),
+            provider_series: spec.provider_series.then(|| ProviderSeriesAcc::new(days)),
+            daily_dropbox: spec
+                .daily_shares
+                .then(|| DailyBytesAcc::new(Provider::Dropbox, days)),
+            daily_youtube: spec
+                .daily_shares
+                .then(|| DailyBytesAcc::new(Provider::YouTube, days)),
+            daily_total: spec.daily_shares.then(|| DailyTotalAcc::new(days)),
+            households: spec.households.then(HouseholdsAcc::default),
+            devices: spec.households.then(DevicesPerHouseholdAcc::default),
+            namespaces: spec.namespaces.then(NamespacesPerDeviceAcc::default),
+            fig9: spec.fig9.then(Fig9Acc::new),
+            fig10: spec.fig10.then(Fig10Acc::new),
+            fig20: spec.fig20.then(Fig20Acc::default),
+            truth: TruthScoreAcc::default(),
+        }
+    }
+
+    /// An empty fold over one capture of the paper plan.
+    pub fn for_shard(shard: &CaptureShard) -> Self {
+        Self::new(
+            shard.kind.name(),
+            shard.days,
+            &SummarySpec::for_shard(shard),
+        )
+    }
+
+    /// Fold one record and its ground truth (`None` for background
+    /// records) into every accumulator.
+    pub fn observe(&mut self, f: &FlowRecord, truth: Option<&FlowTruth>) {
+        self.records += 1;
+        self.overview.observe(f);
+        self.totals.observe(f);
+        self.roles.observe(f);
+        self.servers.observe(f);
+        self.storage.observe(f);
+        self.rtt.observe(f);
+        self.web.observe(f);
+        self.startups.observe(f);
+        self.holiday.observe(f);
+        self.hourly.observe(f);
+        self.raw.observe(f);
+        self.provider_series.observe(f);
+        self.daily_dropbox.observe(f);
+        self.daily_youtube.observe(f);
+        self.daily_total.observe(f);
+        self.households.observe(f);
+        self.devices.observe(f);
+        self.namespaces.observe(f);
+        self.fig9.observe(f);
+        self.fig10.observe(f);
+        self.fig20.observe(f);
+        self.truth.observe(f, truth);
+    }
+
+    /// Accumulators this fold feeds.
+    fn stages(&self) -> usize {
+        let optional = [
+            self.provider_series.is_some(),
+            self.daily_dropbox.is_some(),
+            self.daily_youtube.is_some(),
+            self.daily_total.is_some(),
+            self.households.is_some(),
+            self.devices.is_some(),
+            self.namespaces.is_some(),
+            self.fig9.is_some(),
+            self.fig10.is_some(),
+            self.fig20.is_some(),
+        ];
+        12 + optional.iter().filter(|&&on| on).count()
+    }
+
+    /// Live accumulator state in bytes.
+    fn state_bytes(&self) -> usize {
+        self.overview.state_bytes()
+            + self.totals.state_bytes()
+            + self.roles.state_bytes()
+            + self.servers.state_bytes()
+            + self.storage.state_bytes()
+            + self.rtt.state_bytes()
+            + self.web.state_bytes()
+            + self.startups.state_bytes()
+            + self.holiday.state_bytes()
+            + self.hourly.state_bytes()
+            + self.raw.state_bytes()
+            + self.provider_series.state_bytes()
+            + self.daily_dropbox.state_bytes()
+            + self.daily_youtube.state_bytes()
+            + self.daily_total.state_bytes()
+            + self.households.state_bytes()
+            + self.devices.state_bytes()
+            + self.namespaces.state_bytes()
+            + self.fig9.state_bytes()
+            + self.fig10.state_bytes()
+            + self.fig20.state_bytes()
+            + self.truth.state_bytes()
+    }
+
+    /// Finish every accumulator into the capture's summary, with the
+    /// driver's capture-level counters.
+    pub fn finish(self, stats: VantageStats) -> VantageSummary {
+        let stages = self.stages();
+        let state_bytes = self.state_bytes();
+        VantageSummary {
+            name: self.name,
+            days: self.days,
+            lan_synced: stats.lan_synced,
+            truth_users: stats.truth_users,
+            fault_stats: stats.fault_stats,
+            records: self.records,
+            stages,
+            state_bytes,
+            overview: self.overview.finish(),
+            dropbox_totals: self.totals.finish(),
+            role_breakdown: self.roles.finish(),
+            storage_servers: self.servers.finish(),
+            storage: self.storage.finish(),
+            rtt: self.rtt.finish(),
+            web: self.web.finish(),
+            startups: self.startups.finish(),
+            holiday_dip: self.holiday.finish(),
+            hourly: self.hourly.finish(),
+            raw_durations: self.raw.finish(),
+            provider_series: self.provider_series.finish(),
+            daily_dropbox: self.daily_dropbox.finish(),
+            daily_youtube: self.daily_youtube.finish(),
+            daily_total: self.daily_total.finish(),
+            households: self.households.finish(),
+            devices_per_household: self.devices.finish(),
+            namespaces_per_device: self.namespaces.finish(),
+            fig9: self.fig9.finish(),
+            fig10: self.fig10.finish(),
+            fig20: self.fig20.finish(),
+            truth: self.truth.finish(),
+        }
+    }
+}
+
+impl SpanFold for VantageFold {
+    fn accept(&mut self, flow: FlowRecord, truth: Option<FlowTruth>) {
+        self.observe(&flow, truth.as_ref());
+    }
+
+    fn merge(&mut self, later: Self) {
+        self.records += later.records;
+        self.overview.merge(later.overview);
+        self.totals.merge(later.totals);
+        self.roles.merge(later.roles);
+        self.servers.merge(later.servers);
+        self.storage.merge(later.storage);
+        self.rtt.merge(later.rtt);
+        self.web.merge(later.web);
+        self.startups.merge(later.startups);
+        self.holiday.merge(later.holiday);
+        self.hourly.merge(later.hourly);
+        self.raw.merge(later.raw);
+        self.provider_series.merge(later.provider_series);
+        self.daily_dropbox.merge(later.daily_dropbox);
+        self.daily_youtube.merge(later.daily_youtube);
+        self.daily_total.merge(later.daily_total);
+        self.households.merge(later.households);
+        self.devices.merge(later.devices);
+        self.namespaces.merge(later.namespaces);
+        self.fig9.merge(later.fig9);
+        self.fig10.merge(later.fig10);
+        self.fig20.merge(later.fig20);
+        self.truth.merge(later.truth);
+    }
 }
 
 impl VantageSummary {
-    /// Fan `out`'s record stream through every accumulator `spec` asks
-    /// for — one pass, shared by all registered analyses.
+    /// Fold a materialised capture through a [`VantageFold`] — the test
+    /// and bench adapter; `repro` folds each household range as it is
+    /// simulated instead.
     pub fn compute(out: &SimOutput, spec: &SummarySpec) -> Self {
-        let days = out.dataset.days;
-        let mut overview = OverviewAcc::default();
-        let mut totals = DropboxTotalsAcc::default();
-        let mut roles = RoleBreakdownAcc::default();
-        let mut servers = StorageServersAcc::new(days);
-        let mut storage = StorageFlowsAcc::default();
-        let mut rtt = RttAcc::default();
-        let mut web = WebAcc::default();
-        let mut startups = StartupsAcc::new(days);
-        let mut holiday = HolidayDipAcc::new(days);
-        let mut hourly = HourlyProfilesAcc::new(days);
-        let mut raw = RawDurationsAcc::default();
-        let mut provider_series = spec.provider_series.then(|| ProviderSeriesAcc::new(days));
-        let mut daily_dropbox = spec
-            .daily_shares
-            .then(|| DailyBytesAcc::new(Provider::Dropbox, days));
-        let mut daily_youtube = spec
-            .daily_shares
-            .then(|| DailyBytesAcc::new(Provider::YouTube, days));
-        let mut daily_total = spec.daily_shares.then(|| DailyTotalAcc::new(days));
-        let mut households = spec.households.then(HouseholdsAcc::default);
-        let mut devices = spec.households.then(DevicesPerHouseholdAcc::default);
-        let mut namespaces = spec.namespaces.then(NamespacesPerDeviceAcc::default);
-        let mut fig9 = spec.fig9.then(Fig9Acc::new);
-        let mut fig10 = spec.fig10.then(Fig10Acc::new);
-        let mut fig20 = spec.fig20.then(Fig20Acc::default);
-
-        let (records, stages, state_bytes) = {
-            let mut p = Pipeline::new();
-            p.register(&mut overview)
-                .register(&mut totals)
-                .register(&mut roles)
-                .register(&mut servers)
-                .register(&mut storage)
-                .register(&mut rtt)
-                .register(&mut web)
-                .register(&mut startups)
-                .register(&mut holiday)
-                .register(&mut hourly)
-                .register(&mut raw);
-            if let Some(a) = provider_series.as_mut() {
-                p.register(a);
-            }
-            if let Some(a) = daily_dropbox.as_mut() {
-                p.register(a);
-            }
-            if let Some(a) = daily_youtube.as_mut() {
-                p.register(a);
-            }
-            if let Some(a) = daily_total.as_mut() {
-                p.register(a);
-            }
-            if let Some(a) = households.as_mut() {
-                p.register(a);
-            }
-            if let Some(a) = devices.as_mut() {
-                p.register(a);
-            }
-            if let Some(a) = namespaces.as_mut() {
-                p.register(a);
-            }
-            if let Some(a) = fig9.as_mut() {
-                p.register(a);
-            }
-            if let Some(a) = fig10.as_mut() {
-                p.register(a);
-            }
-            if let Some(a) = fig20.as_mut() {
-                p.register(a);
-            }
-            out.dataset.stream_into(&mut p);
-            (p.records(), p.stages(), p.state_bytes())
-        };
-
-        VantageSummary {
-            name: out.dataset.name.clone(),
-            days,
-            lan_synced: out.lan_synced,
-            records,
-            stages,
-            state_bytes,
-            overview: overview.finish(),
-            dropbox_totals: totals.finish(),
-            role_breakdown: roles.finish(),
-            storage_servers: servers.finish(),
-            storage: storage.finish(),
-            rtt: rtt.finish(),
-            web: web.finish(),
-            startups: startups.finish(),
-            holiday_dip: holiday.finish(),
-            hourly: hourly.finish(),
-            raw_durations: raw.finish(),
-            provider_series: provider_series.map(Accumulate::finish),
-            daily_dropbox: daily_dropbox.map(Accumulate::finish),
-            daily_youtube: daily_youtube.map(Accumulate::finish),
-            daily_total: daily_total.map(Accumulate::finish),
-            households: households.map(Accumulate::finish),
-            devices_per_household: devices.map(Accumulate::finish),
-            namespaces_per_device: namespaces.map(Accumulate::finish),
-            fig9: fig9.map(Accumulate::finish),
-            fig10: fig10.map(Accumulate::finish),
-            fig20: fig20.map(Accumulate::finish),
+        let mut fold = VantageFold::new(&out.dataset.name, out.dataset.days, spec);
+        for (f, truth) in out.flows_with_truth() {
+            fold.observe(f, truth.as_ref());
         }
+        fold.finish(out.stats())
     }
 }
 
@@ -691,7 +906,9 @@ pub struct CaptureSummary {
 }
 
 impl CaptureSummary {
-    /// Summarise every vantage point of `cap` (one pass each).
+    /// Summarise every vantage point of a materialised capture (one pass
+    /// each) — the test and bench adapter over the same [`VantageFold`]
+    /// `repro` streams into (`crate::run::run_summary`).
     pub fn compute(cap: &Capture) -> Self {
         let vantages = VantageKind::ALL
             .iter()

@@ -10,76 +10,113 @@
 //! * deduplication and LAN-sync savings that never reach the wire.
 //!
 //! Scoring needs the per-flow ground truth (`FlowTruth`), which lives
-//! outside the `FlowRecord` stream, so this module walks
-//! [`workload::SimOutput::flows_with_truth`] — but only **once** per
-//! vantage: tag scoring, chunk scoring, and user-inference observation all
-//! fold in the same pass.
+//! outside the `FlowRecord` stream, so the driver hands each record to the
+//! summary fold together with its truth and [`TruthScoreAcc`] scores it in
+//! the same single pass that feeds the tables and figures
+//! ([`crate::summary::VantageFold`]): tag scoring, chunk scoring, and
+//! user-inference observation all fold there, and [`report`] renders the
+//! finished [`TruthScores`].
 
 use crate::report::{Report, TextTable};
 use crate::run::Capture;
+use crate::summary::CaptureSummary;
 use dropbox::FlowTruth;
 use dropbox_analysis::chunks::estimate_chunks;
 use dropbox_analysis::classify::{dropbox_role, storage_tag, DropboxRole, StorageTag};
 use dropbox_analysis::stream::Accumulate;
 use dropbox_analysis::users::{score_users, InferUsersAcc};
+use nettrace::FlowRecord;
+use std::mem::size_of;
 
-/// Everything `validate` needs from one vantage, gathered in one pass.
-struct VantageScore {
-    name: String,
-    total: u64,
-    tag_ok: u64,
-    chunk_exact: u64,
-    chunk_close: u64,
-    err_sum: f64,
-    inferred: Vec<Vec<u64>>,
+/// One vantage's inference methods scored against ground truth.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct TruthScores {
+    /// Client-storage flows with store/retrieve ground truth.
+    pub storage_flows: u64,
+    /// Of those, flows `f(u)` tagged correctly.
+    pub tag_ok: u64,
+    /// Acknowledged flows whose chunk estimate is exact.
+    pub chunk_exact: u64,
+    /// Acknowledged flows whose chunk estimate is off by at most one.
+    pub chunk_close: u64,
+    /// Sum of the absolute chunk-estimate errors of acknowledged flows.
+    pub chunk_err_sum: u64,
+    /// User accounts inferred from namespace lists (Sec. 2.3.1).
+    pub inferred_users: Vec<Vec<u64>>,
 }
 
-fn score_vantage(out: &workload::SimOutput) -> VantageScore {
-    let mut s = VantageScore {
-        name: out.dataset.name.clone(),
-        total: 0,
-        tag_ok: 0,
-        chunk_exact: 0,
-        chunk_close: 0,
-        err_sum: 0.0,
-        inferred: Vec::new(),
-    };
-    let mut users = InferUsersAcc::default();
-    for (f, truth) in out.flows_with_truth() {
-        users.observe(f);
+/// Streaming scorer behind [`TruthScores`]: folds `(record, truth)` pairs.
+#[derive(Default)]
+pub struct TruthScoreAcc {
+    scores: TruthScores,
+    users: InferUsersAcc,
+}
+
+impl TruthScoreAcc {
+    /// Score one record against its ground truth (`None` for background
+    /// records).
+    pub fn observe(&mut self, f: &FlowRecord, truth: Option<&FlowTruth>) {
+        self.users.observe(f);
         if dropbox_role(f) != Some(DropboxRole::ClientStorage) {
-            continue;
+            return;
         }
-        let Some(truth) = truth else { continue };
         let (true_tag, true_chunks, acked) = match truth {
-            FlowTruth::Store { chunks, acked, .. } => (StorageTag::Store, *chunks, *acked),
-            FlowTruth::Retrieve { chunks, .. } => (StorageTag::Retrieve, *chunks, true),
-            _ => continue,
+            Some(FlowTruth::Store { chunks, acked, .. }) => (StorageTag::Store, *chunks, *acked),
+            Some(FlowTruth::Retrieve { chunks, .. }) => (StorageTag::Retrieve, *chunks, true),
+            _ => return,
         };
-        s.total += 1;
+        let s = &mut self.scores;
+        s.storage_flows += 1;
         if storage_tag(f) == true_tag {
             s.tag_ok += 1;
         }
         // The chunk estimator is only defined for acknowledged flows
         // (the paper notes the misbehaving client breaks it).
         if acked {
-            let est = estimate_chunks(f);
-            let err = (est as f64 - true_chunks as f64).abs();
-            s.err_sum += err;
-            if est == true_chunks {
+            let err = estimate_chunks(f).abs_diff(true_chunks);
+            s.chunk_err_sum += u64::from(err);
+            if err == 0 {
                 s.chunk_exact += 1;
             }
-            if err <= 1.0 {
+            if err <= 1 {
                 s.chunk_close += 1;
             }
         }
     }
-    s.inferred = users.finish();
-    s
+
+    /// Append the scores of the records that follow this fold's.
+    pub fn merge(&mut self, later: TruthScoreAcc) {
+        let (s, l) = (&mut self.scores, later.scores);
+        s.storage_flows += l.storage_flows;
+        s.tag_ok += l.tag_ok;
+        s.chunk_exact += l.chunk_exact;
+        s.chunk_close += l.chunk_close;
+        s.chunk_err_sum += l.chunk_err_sum;
+        self.users.merge(later.users);
+    }
+
+    /// The finished scores.
+    pub fn finish(self) -> TruthScores {
+        TruthScores {
+            inferred_users: self.users.finish(),
+            ..self.scores
+        }
+    }
+
+    /// Estimated live state size in bytes.
+    pub fn state_bytes(&self) -> usize {
+        size_of::<TruthScores>() + self.users.state_bytes()
+    }
 }
 
-/// Score the analysis layer against generator ground truth.
+/// Score the analysis layer of a materialised capture against generator
+/// ground truth (the adapter over [`report`]).
 pub fn validate(cap: &Capture) -> Report {
+    report(&CaptureSummary::compute(cap))
+}
+
+/// Render the ground-truth scores of the four Mar–May vantage points.
+pub fn report(summary: &CaptureSummary) -> Report {
     let mut t = TextTable::new(vec![
         "Vantage",
         "storage flows",
@@ -88,36 +125,37 @@ pub fn validate(cap: &Capture) -> Report {
         "chunk |err|<=1",
         "mean |err|",
     ]);
-    let scores: Vec<VantageScore> = cap.vantages.iter().map(score_vantage).collect();
     let mut worst_tag = 1.0f64;
-    for s in &scores {
-        let tagged = s.tag_ok as f64 / s.total.max(1) as f64;
+    for v in &summary.vantages {
+        let s = &v.truth;
+        let total = s.storage_flows.max(1) as f64;
+        let tagged = s.tag_ok as f64 / total;
         worst_tag = worst_tag.min(tagged);
         t.row(vec![
-            s.name.clone(),
-            s.total.to_string(),
+            v.name.clone(),
+            s.storage_flows.to_string(),
             format!("{:.4}", tagged),
-            format!("{:.4}", s.chunk_exact as f64 / s.total.max(1) as f64),
-            format!("{:.4}", s.chunk_close as f64 / s.total.max(1) as f64),
-            format!("{:.3}", s.err_sum / s.total.max(1) as f64),
+            format!("{:.4}", s.chunk_exact as f64 / total),
+            format!("{:.4}", s.chunk_close as f64 / total),
+            format!("{:.3}", s.chunk_err_sum as f64 / total),
         ]);
     }
     let mut body = t.render();
     body.push_str(&format!(
         "\nworst-case f(u) tagging accuracy: {worst_tag:.4} (paper estimates <1% error)\n"
     ));
-    for out in &cap.vantages {
+    for v in &summary.vantages {
         body.push_str(&format!(
             "{}: {} chunk transfers served by LAN Sync (invisible at the probe)\n",
-            out.dataset.name, out.lan_synced
+            v.name, v.lan_synced
         ));
     }
     body.push_str("\nuser-account inference from namespace lists (Sec. 2.3.1):\n");
-    for (out, s) in cap.vantages.iter().zip(&scores) {
-        let inferred = &s.inferred;
+    for v in &summary.vantages {
+        let inferred = &v.truth.inferred_users;
         // Ground truth restricted to devices the monitor actually saw.
         let seen: std::collections::BTreeSet<u64> = inferred.iter().flatten().copied().collect();
-        let truth: Vec<Vec<u64>> = out
+        let truth: Vec<Vec<u64>> = v
             .truth_users
             .iter()
             .map(|g| {
@@ -131,7 +169,7 @@ pub fn validate(cap: &Capture) -> Report {
         let (precision, recall) = score_users(inferred, &truth);
         body.push_str(&format!(
             "  {}: {} devices, {} inferred accounts, pairwise precision {:.3} recall {:.3}\n",
-            out.dataset.name,
+            v.name,
             seen.len(),
             inferred.len(),
             precision,

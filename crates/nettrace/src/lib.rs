@@ -38,4 +38,4 @@ pub mod sink;
 pub use endpoint::{Endpoint, FlowKey, Ipv4};
 pub use flow::FlowRecord;
 pub use packet::{AppMarker, Packet, TcpFlags};
-pub use sink::{FlowSink, SpanMerge};
+pub use sink::FlowSink;

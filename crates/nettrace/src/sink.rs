@@ -30,86 +30,6 @@ impl FlowSink for Vec<FlowRecord> {
     }
 }
 
-/// A sink that counts records and forwards nothing — useful to measure a
-/// producer without paying for storage.
-#[derive(Debug, Default)]
-pub struct CountingSink {
-    /// Number of records accepted so far.
-    pub records: u64,
-}
-
-impl FlowSink for CountingSink {
-    fn accept(&mut self, _flow: FlowRecord) {
-        self.records += 1;
-    }
-}
-
-/// Ordered re-assembly of a record stream that was produced in spans.
-///
-/// A producer split into contiguous spans (e.g. the household ranges of
-/// one capture) finishes its spans in arbitrary wall-clock order. Each
-/// span's records land in their own slot — [`SpanMerge::span_sink`] hands
-/// out the slot's [`FlowSink`] — and [`SpanMerge::into_flows`] releases
-/// everything in slot order: the single canonical order the serial
-/// producer would have emitted. The merge never reorders, drops, or
-/// batches records *within* a span, so when the spans partition the
-/// serial stream, the merged stream is byte-identical to it.
-pub struct SpanMerge {
-    slots: Vec<Vec<FlowRecord>>,
-}
-
-impl SpanMerge {
-    /// A merge expecting `spans` slots.
-    pub fn new(spans: usize) -> SpanMerge {
-        SpanMerge {
-            slots: (0..spans).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    /// The sink for one span's records. `slot` is the span's position in
-    /// the canonical order — never its completion order.
-    pub fn span_sink(&mut self, slot: usize) -> &mut impl FlowSink {
-        &mut self.slots[slot]
-    }
-
-    /// Accept a whole span materialised elsewhere (panics if the slot was
-    /// already filled — every span has exactly one producer).
-    pub fn accept_span(&mut self, slot: usize, flows: Vec<FlowRecord>) {
-        assert!(self.slots[slot].is_empty(), "span slot {slot} filled twice");
-        self.slots[slot] = flows;
-    }
-
-    /// Total records held across all slots so far.
-    pub fn len(&self) -> usize {
-        self.slots.iter().map(Vec::len).sum()
-    }
-
-    /// True when no slot holds any record yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Release every record in span order.
-    pub fn into_flows(self) -> Vec<FlowRecord> {
-        let mut out = Vec::with_capacity(self.slots.iter().map(Vec::len).sum());
-        for span in self.slots {
-            out.extend(span);
-        }
-        out
-    }
-}
-
-/// Fan one record out to two sinks (records are cloned into the first,
-/// moved into the second). Chains compose: `Tee(a, Tee(b, c))`.
-pub struct Tee<'a, A: FlowSink, B: FlowSink>(pub &'a mut A, pub &'a mut B);
-
-impl<A: FlowSink, B: FlowSink> FlowSink for Tee<'_, A, B> {
-    fn accept(&mut self, flow: FlowRecord) {
-        self.0.accept(flow.clone());
-        self.1.accept(flow);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,44 +67,5 @@ mod tests {
         }
         let ports: Vec<u16> = v.iter().map(|f| f.key.client.port).collect();
         assert_eq!(ports, [1, 2, 3]);
-    }
-
-    #[test]
-    fn span_merge_releases_slot_order_regardless_of_arrival() {
-        let mut merge = SpanMerge::new(3);
-        // Spans complete out of order; slots keep the canonical order.
-        merge.accept_span(2, vec![record(5), record(6)]);
-        merge.span_sink(0).accept(record(1));
-        merge.span_sink(0).accept(record(2));
-        merge.accept_span(1, vec![record(3), record(4)]);
-        assert_eq!(merge.len(), 6);
-        assert!(!merge.is_empty());
-        let ports: Vec<u16> = merge
-            .into_flows()
-            .iter()
-            .map(|f| f.key.client.port)
-            .collect();
-        assert_eq!(ports, [1, 2, 3, 4, 5, 6]);
-    }
-
-    #[test]
-    #[should_panic(expected = "filled twice")]
-    fn span_merge_rejects_double_fill() {
-        let mut merge = SpanMerge::new(1);
-        merge.accept_span(0, vec![record(1)]);
-        merge.accept_span(0, vec![record(2)]);
-    }
-
-    #[test]
-    fn tee_feeds_both_sinks() {
-        let mut a: Vec<FlowRecord> = Vec::new();
-        let mut b = CountingSink::default();
-        {
-            let mut tee = Tee(&mut a, &mut b);
-            tee.accept(record(7));
-            tee.accept(record(8));
-        }
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.records, 2);
     }
 }

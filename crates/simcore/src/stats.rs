@@ -100,7 +100,7 @@ impl Summary {
         self.n = n;
         self.mean = mean;
         self.m2 = m2;
-        // simlint: allow(float-merge) — SpanMerge drains shard results in canonical household-slot order, so this reduction's order is fixed by construction; exactness is not required for Welford moments
+        // simlint: allow(float-merge) — span folds merge in canonical household order, so this reduction's order is fixed by construction; exactness is not required for Welford moments
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);

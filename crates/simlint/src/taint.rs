@@ -19,9 +19,9 @@
 //!   introduced the taint*.
 //!
 //! Clean-by-construction values — household indices, capture names,
-//! stream labels — never match a scheduling fragment, and `SpanMerge`
-//! slot positions are canonical household order (stable identity), so
-//! they are deliberately not fragments.
+//! stream labels — never match a scheduling fragment, and the range
+//! starts span folds merge by are canonical household order (stable
+//! identity), so they are deliberately not fragments.
 //!
 //! Findings reuse the `shard-seed` rule id for seed sinks (the pass
 //! subsumes the old name-based rule) and `taint-flow` for emission sinks.

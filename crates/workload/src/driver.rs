@@ -85,7 +85,28 @@ impl FaultStats {
     }
 }
 
-/// Result of one vantage-point simulation.
+/// A per-span fold of a capture's record stream: what each household
+/// range's worker folds its records into, before the spans merge in
+/// household order.
+///
+/// `merge` must mean stream concatenation: folding contiguous household
+/// ranges separately and merging them in household order equals one fold
+/// over the whole capture, so the merged state is byte-identical at every
+/// `--jobs` and `--hh-shards` value.
+pub trait SpanFold: Send {
+    /// Fold one completed record and its ground truth (`None` for
+    /// background records).
+    fn accept(&mut self, flow: FlowRecord, truth: Option<FlowTruth>);
+
+    /// Append the fold of the household range that follows this one.
+    fn merge(&mut self, later: Self)
+    where
+        Self: Sized;
+}
+
+/// Result of one vantage-point simulation, materialised: the fold that
+/// keeps every record. The test, example and trace-export view of a
+/// capture; `repro` folds straight into its analyses instead.
 pub struct SimOutput {
     /// The dataset (monitored flow records + background records).
     pub dataset: Dataset,
@@ -102,10 +123,50 @@ pub struct SimOutput {
 }
 
 impl SimOutput {
+    /// An empty capture of `config`'s vantage point.
+    pub fn new(config: &VantageConfig) -> SimOutput {
+        SimOutput {
+            dataset: Dataset::new(config.kind.name(), config.expose_dns, config.days),
+            truths: Vec::new(),
+            lan_synced: 0,
+            truth_users: Vec::new(),
+            fault_stats: FaultStats::default(),
+        }
+    }
+
+    /// Attach the capture-level counters of the run that filled it.
+    pub fn with_stats(mut self, stats: VantageStats) -> SimOutput {
+        self.lan_synced = stats.lan_synced;
+        self.truth_users = stats.truth_users;
+        self.fault_stats = stats.fault_stats;
+        self
+    }
+
+    /// A copy of the capture-level counters.
+    pub fn stats(&self) -> VantageStats {
+        VantageStats {
+            lan_synced: self.lan_synced,
+            truth_users: self.truth_users.clone(),
+            fault_stats: self.fault_stats,
+        }
+    }
+
     /// The record stream with its aligned ground truth — what the
     /// validation harness folds over in a single pass.
     pub fn flows_with_truth(&self) -> impl Iterator<Item = (&FlowRecord, &Option<FlowTruth>)> {
         self.dataset.flows.iter().zip(&self.truths)
+    }
+}
+
+impl SpanFold for SimOutput {
+    fn accept(&mut self, flow: FlowRecord, truth: Option<FlowTruth>) {
+        self.dataset.flows.push(flow);
+        self.truths.push(truth);
+    }
+
+    fn merge(&mut self, later: Self) {
+        self.dataset.flows.extend(later.dataset.flows);
+        self.truths.extend(later.truths);
     }
 }
 
@@ -266,6 +327,7 @@ fn flush_queue(
 
 /// Capture-level outputs that are not the record stream itself: what the
 /// streaming driver returns alongside the records it emits.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct VantageStats {
     /// Number of chunk transfers served by the LAN Sync Protocol (never
     /// seen at the probe).
@@ -274,6 +336,15 @@ pub struct VantageStats {
     pub truth_users: Vec<Vec<u64>>,
     /// Fault-injection ground truth.
     pub fault_stats: FaultStats,
+}
+
+impl VantageStats {
+    /// Append the counters of the household range that follows this one.
+    pub fn merge(&mut self, later: VantageStats) {
+        self.lan_synced += later.lan_synced;
+        self.truth_users.extend(later.truth_users);
+        self.fault_stats.absorb(later.fault_stats);
+    }
 }
 
 /// Simulate one vantage point. `version` selects the client generation
@@ -285,16 +356,14 @@ pub struct VantageStats {
 /// cut and resumed, and notification connections churn — all still a
 /// deterministic function of `(config, version, seed, plan)`.
 ///
-/// This is the materialising wrapper over the full-range household sweep
-/// ([`simulate_vantage_span`] over `0..config.addresses`).
+/// This is the materialising fold over the full-range household sweep.
 pub fn simulate_vantage(
     config: &VantageConfig,
     version: ClientVersion,
     seed: u64,
     faults: &FaultPlan,
 ) -> SimOutput {
-    simulate_vantage_span(config, version, seed, faults, 0..config.addresses)
-        .into_sim_output(config)
+    materialise(config, version, seed, faults, None)
 }
 
 /// Audited form of [`simulate_vantage`]: additionally returns the
@@ -311,118 +380,29 @@ pub fn simulate_vantage_audited(
     faults: &FaultPlan,
 ) -> (SimOutput, SyncAudit) {
     let mut audit = SyncAudit::new();
-    let mut flows: Vec<FlowRecord> = Vec::new();
-    let mut truths: Vec<Option<FlowTruth>> = Vec::new();
+    let out = materialise(config, version, seed, faults, Some(&mut audit));
+    (out, audit)
+}
+
+/// Sweep every household of the capture into the materialising fold.
+fn materialise(
+    config: &VantageConfig,
+    version: ClientVersion,
+    seed: u64,
+    faults: &FaultPlan,
+    audit: Option<&mut SyncAudit>,
+) -> SimOutput {
+    let mut out = SimOutput::new(config);
     let stats = simulate_span_impl(
         config,
         version,
         seed,
         faults,
         0..config.addresses,
-        &mut |rec, truth| {
-            flows.push(rec);
-            truths.push(truth);
-        },
-        Some(&mut audit),
-    );
-    (
-        SpanOutput {
-            flows,
-            truths,
-            stats,
-        }
-        .into_sim_output(config),
+        &mut |rec, truth| out.accept(rec, truth),
         audit,
-    )
-}
-
-/// Streaming form of [`simulate_vantage`]: completed records are emitted
-/// into `sink` as the monitor finalises them, in the same canonical order
-/// the materialising wrapper stores them — the capture is never held in
-/// memory. Ground truth is not emitted (use [`simulate_vantage`] when the
-/// validation harness needs it).
-pub fn simulate_vantage_into(
-    config: &VantageConfig,
-    version: ClientVersion,
-    seed: u64,
-    faults: &FaultPlan,
-    sink: &mut dyn nettrace::FlowSink,
-) -> VantageStats {
-    simulate_span_impl(
-        config,
-        version,
-        seed,
-        faults,
-        0..config.addresses,
-        &mut |rec, _truth| sink.accept(rec),
-        None,
-    )
-}
-
-/// Materialised output of one household-range span of a capture: the
-/// flows and aligned ground truth of households `lo..hi`, plus the span's
-/// share of the capture-level counters.
-///
-/// Spans are the unit the household-range shards of `workload::shard`
-/// execute in parallel. Concatenating the spans of any contiguous
-/// partition of `0..config.addresses` — flows, truths, `truth_users`, and
-/// summed counters alike — reproduces the full-capture output byte for
-/// byte, because every household draws from its own seed stream
-/// ([`par::household_stream`]) and touches only household-local state.
-pub struct SpanOutput {
-    /// Flow records in canonical order (households by index; within one
-    /// household: device flows, then web/API flows, then background
-    /// provider flows).
-    pub flows: Vec<FlowRecord>,
-    /// Ground truth aligned with `flows` (`None` for background records).
-    pub truths: Vec<Option<FlowTruth>>,
-    /// The span's share of the capture-level counters.
-    pub stats: VantageStats,
-}
-
-impl SpanOutput {
-    /// Repackage a full-range span as the capture-level [`SimOutput`].
-    fn into_sim_output(self, config: &VantageConfig) -> SimOutput {
-        let mut dataset = Dataset::new(config.kind.name(), config.expose_dns, config.days);
-        dataset.flows = self.flows;
-        SimOutput {
-            dataset,
-            truths: self.truths,
-            lan_synced: self.stats.lan_synced,
-            truth_users: self.stats.truth_users,
-            fault_stats: self.stats.fault_stats,
-        }
-    }
-}
-
-/// Simulate the contiguous household range `households` of one
-/// vantage-point capture and materialise its output.
-pub fn simulate_vantage_span(
-    config: &VantageConfig,
-    version: ClientVersion,
-    seed: u64,
-    faults: &FaultPlan,
-    households: Range<usize>,
-) -> SpanOutput {
-    let mut flows: Vec<FlowRecord> = Vec::new();
-    let mut truths: Vec<Option<FlowTruth>> = Vec::new();
-    let stats = simulate_span_impl(
-        config,
-        version,
-        seed,
-        faults,
-        households,
-        &mut |rec, truth| {
-            flows.push(rec);
-            truths.push(truth);
-        },
-        None,
     );
-    SpanOutput {
-        flows,
-        truths,
-        stats,
-    }
+    out.with_stats(stats)
 }
 
 /// The single driver core every entry point shares: sweeps the requested
@@ -430,7 +410,13 @@ pub fn simulate_vantage_span(
 /// its ground truth) to `emit`. The closure indirection draws no
 /// randomness, so the record stream is byte-identical however it is
 /// consumed.
-fn simulate_span_impl(
+///
+/// Concatenating the emitted streams of any contiguous partition of
+/// `0..config.addresses` — records, truths, `truth_users`, and summed
+/// counters alike — reproduces the full-capture sweep byte for byte,
+/// because every household draws from its own seed stream
+/// ([`par::household_stream`]) and touches only household-local state.
+pub(crate) fn simulate_span_impl(
     config: &VantageConfig,
     version: ClientVersion,
     seed: u64,
@@ -468,11 +454,7 @@ fn simulate_span_impl(
     }
     let dns = dns;
     let policy = RetryPolicy::default();
-    let mut stats = VantageStats {
-        lan_synced: 0,
-        truth_users: Vec::new(),
-        fault_stats: FaultStats::default(),
-    };
+    let mut stats = VantageStats::default();
     for idx in households {
         let hh = population::generate_household(
             config,

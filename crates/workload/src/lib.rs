@@ -27,10 +27,10 @@
 //!
 //! [`simulate_vantage`] is a household sweep: every household is played
 //! from its own seed stream (`simcore::par::household_stream`) against
-//! household-local state, so any contiguous range of the sweep
-//! ([`driver::simulate_vantage_span`]) can run on its own worker and the
-//! ranges merge back byte-identically in household order. Parallelism
-//! happens between household ranges, via [`shard::simulate_shards`];
+//! household-local state, so any contiguous range of the sweep can run on
+//! its own worker, fold its records into a [`SpanFold`], and the folds
+//! merge back byte-identically in household order. Parallelism happens
+//! between household ranges, via [`shard::simulate_shards_into`];
 //! `DESIGN.md` §7 pins the contract.
 
 #![forbid(unsafe_code)]
@@ -47,10 +47,9 @@ pub mod vantage;
 
 pub use audit::SyncAudit;
 pub use driver::{
-    simulate_vantage, simulate_vantage_audited, simulate_vantage_span, FaultStats, SimOutput,
-    SpanOutput,
+    simulate_vantage, simulate_vantage_audited, FaultStats, SimOutput, SpanFold, VantageStats,
 };
 pub use oracle::Violation;
-pub use shard::{simulate_shards, CaptureShard, HouseholdShard, ShardPlan};
+pub use shard::{simulate_shards, simulate_shards_into, CaptureShard, HouseholdShard, ShardPlan};
 pub use simcore::faults::{FaultPlan, FlowFaults, OutageKnobs};
 pub use vantage::{VantageConfig, VantageKind};

@@ -16,12 +16,13 @@
 //! capture id and household index) against household-local state only, so
 //! any contiguous partition of a capture's population replays identical
 //! per-household bytes and a merge in household order
-//! ([`nettrace::SpanMerge`]) reproduces the serial sweep exactly.
+//! ([`SpanFold::merge`]) reproduces the serial sweep exactly.
 //!
 //! [`ShardPlan::paper`] enumerates the five captures and cuts each into
-//! [`ShardPlan::sub_shards`] household ranges; [`simulate_shards`] runs
-//! the ranges on [`simcore::par`]'s deterministic fork-join executor and
-//! re-assembles captures in canonical order. The result is
+//! [`ShardPlan::sub_shards`] household ranges; [`simulate_shards_into`]
+//! runs the ranges on [`simcore::par`]'s deterministic fork-join executor,
+//! each folding its records into its own [`SpanFold`], and merges the
+//! folds into captures in canonical order. The result is
 //! **byte-identical at every `--jobs` value and every sub-shard count** —
 //! `crates/workload/tests/parallel_identity.rs` pins this, and the
 //! `fault_identity` digests pin each capture's stream against committed
@@ -35,11 +36,10 @@
 //! away. `DESIGN.md` §7 documents the boundary as part of the
 //! determinism contract.
 
-use crate::driver::{simulate_vantage, simulate_vantage_span, SimOutput, VantageStats};
+use crate::driver::{simulate_span_impl, simulate_vantage, SimOutput, SpanFold, VantageStats};
 use crate::vantage::{VantageConfig, VantageKind};
 use dropbox::client::ClientVersion;
 use dropbox::spec::{self, ProviderSpec};
-use dropbox_analysis::Dataset;
 use simcore::faults::FaultPlan;
 use simcore::par;
 use simcore::{Rng, ShardId};
@@ -298,16 +298,77 @@ impl ShardPlan {
     }
 }
 
-/// Simulate every household shard of `plan` on up to `jobs` workers and
-/// return the capture outputs in merge order (Campus 1, Campus 2, Home 1,
-/// Home 2, re-capture for [`ShardPlan::paper`]).
+/// Simulate every household shard of `plan` on up to `jobs` workers, fold
+/// each range's records into its own `new_fold(capture)`, and return one
+/// merged fold per capture with its counters, in merge order (Campus 1,
+/// Campus 2, Home 1, Home 2, re-capture for [`ShardPlan::paper`]).
 ///
-/// Each completed range lands in its slot of a per-capture
-/// [`nettrace::SpanMerge`]; releasing the merge in household order
-/// re-assembles the capture's canonical record stream. `jobs == 1` runs
-/// strictly serially on the calling thread; any other value — and any
-/// [`ShardPlan::sub_shards`] count — changes wall-clock time only: the
-/// returned outputs are byte-identical.
+/// A worker folds the records of the range it simulates as the monitor
+/// finalises them, so no range's record vector is ever materialised
+/// unless the fold keeps it ([`SimOutput`] does). The range folds merge in
+/// household order: `jobs == 1` runs strictly serially on the calling
+/// thread; any other value — and any [`ShardPlan::sub_shards`] count —
+/// changes wall-clock time only, never the merged folds.
+pub fn simulate_shards_into<F: SpanFold>(
+    plan: &ShardPlan,
+    scale: f64,
+    master_seed: u64,
+    faults: &FaultPlan,
+    jobs: usize,
+    new_fold: impl Fn(&CaptureShard) -> F + Sync,
+) -> Vec<(F, VantageStats)> {
+    let work = plan.household_shards(scale);
+    let spans = par::fork_join(jobs, &work, |_, hs| {
+        let shard = &plan.shards[hs.capture];
+        let mut fold = new_fold(shard);
+        let stats = simulate_span_impl(
+            &shard.config(scale),
+            shard.version,
+            shard.capture_seed(master_seed),
+            faults,
+            hs.households.clone(),
+            &mut |rec, truth| fold.accept(rec, truth),
+            None,
+        );
+        (fold, stats)
+    });
+
+    // The deterministic merge, step 1: bucket completed spans by owning
+    // capture, keyed by range start (schedule order -> household order).
+    let mut per_capture: Vec<Vec<(usize, (F, VantageStats))>> =
+        (0..plan.shards.len()).map(|_| Vec::new()).collect();
+    for (hs, span) in work.iter().zip(spans) {
+        per_capture[hs.capture].push((hs.households.start, span));
+    }
+
+    // Step 2: merge each capture's spans in household order, then place
+    // captures by merge slot (canonical capture order).
+    let mut slots: Vec<Option<(F, VantageStats)>> = (0..plan.shards.len()).map(|_| None).collect();
+    for (ci, shard) in plan.shards.iter().enumerate() {
+        let mut spans = std::mem::take(&mut per_capture[ci]);
+        spans.sort_by_key(|(start, _)| *start);
+        let mut spans = spans.into_iter().map(|(_, span)| span);
+        let (mut fold, mut stats) = spans.next().expect("every capture has a household range");
+        for (later, later_stats) in spans {
+            fold.merge(later);
+            stats.merge(later_stats);
+        }
+        assert!(
+            slots[shard.merge_slot].is_none(),
+            "merge slot {} assigned twice",
+            shard.merge_slot
+        );
+        slots[shard.merge_slot] = Some((fold, stats));
+    }
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(slot, out)| out.unwrap_or_else(|| panic!("merge slot {slot} unassigned")))
+        .collect()
+}
+
+/// [`simulate_shards_into`] with the materialising fold: every capture's
+/// records and ground truth, in merge order.
 pub fn simulate_shards(
     plan: &ShardPlan,
     scale: f64,
@@ -315,67 +376,12 @@ pub fn simulate_shards(
     faults: &FaultPlan,
     jobs: usize,
 ) -> Vec<SimOutput> {
-    let work = plan.household_shards(scale);
-    let spans = par::fork_join(jobs, &work, |_, hs| {
-        let shard = &plan.shards[hs.capture];
-        simulate_vantage_span(
-            &shard.config(scale),
-            shard.version,
-            shard.capture_seed(master_seed),
-            faults,
-            hs.households.clone(),
-        )
-    });
-
-    // The deterministic merge, step 1: bucket completed spans by owning
-    // capture, keyed by range start (schedule order -> household order).
-    let mut per_capture: Vec<Vec<(usize, crate::driver::SpanOutput)>> =
-        (0..plan.shards.len()).map(|_| Vec::new()).collect();
-    for (hs, span) in work.iter().zip(spans) {
-        per_capture[hs.capture].push((hs.households.start, span));
-    }
-
-    // Step 2: re-assemble each capture from its spans in household order,
-    // then place captures by merge slot (canonical capture order).
-    let mut slots: Vec<Option<SimOutput>> = (0..plan.shards.len()).map(|_| None).collect();
-    for (ci, shard) in plan.shards.iter().enumerate() {
-        let mut spans = std::mem::take(&mut per_capture[ci]);
-        spans.sort_by_key(|(start, _)| *start);
-        let mut merge = nettrace::SpanMerge::new(spans.len());
-        let mut truths = Vec::new();
-        let mut stats = VantageStats {
-            lan_synced: 0,
-            truth_users: Vec::new(),
-            fault_stats: crate::driver::FaultStats::default(),
-        };
-        for (slot, (_start, span)) in spans.into_iter().enumerate() {
-            merge.accept_span(slot, span.flows);
-            truths.extend(span.truths);
-            stats.lan_synced += span.stats.lan_synced;
-            stats.truth_users.extend(span.stats.truth_users);
-            stats.fault_stats.absorb(span.stats.fault_stats);
-        }
-        let config = shard.config(scale);
-        let mut dataset = Dataset::new(shard.kind.name(), config.expose_dns, config.days);
-        dataset.flows = merge.into_flows();
-        assert!(
-            slots[shard.merge_slot].is_none(),
-            "merge slot {} assigned twice",
-            shard.merge_slot
-        );
-        slots[shard.merge_slot] = Some(SimOutput {
-            dataset,
-            truths,
-            lan_synced: stats.lan_synced,
-            truth_users: stats.truth_users,
-            fault_stats: stats.fault_stats,
-        });
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(slot, out)| out.unwrap_or_else(|| panic!("merge slot {slot} unassigned")))
-        .collect()
+    simulate_shards_into(plan, scale, master_seed, faults, jobs, |shard| {
+        SimOutput::new(&shard.config(scale))
+    })
+    .into_iter()
+    .map(|(out, stats)| out.with_stats(stats))
+    .collect()
 }
 
 #[cfg(test)]

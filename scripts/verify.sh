@@ -66,12 +66,26 @@ cargo run --release --offline -p experiments --bin repro -- \
     table2 --scale 0.01 --faults 7 --jobs 8 --hh-shards 1 --out "$coarse_dir"
 diff -r "$smoke_dir" "$coarse_dir"
 
+# Every report of a whole run, serial and unsharded against parallel and
+# cut into household ranges: each range folds into its own accumulators
+# and the folds merge in household order, so every merged accumulator is
+# diffed across cuts.
+all_serial_dir="$(mktemp -d)"
+all_cut_dir="$(mktemp -d)"
+trap 'rm -rf "$smoke_dir" "$par_dir" "$coarse_dir" "$all_serial_dir" "$all_cut_dir"' EXIT
+cargo run --release --offline -p experiments --bin repro -- \
+    all --scale 0.01 --jobs 1 --hh-shards 1 --out "$all_serial_dir" > /dev/null
+test -s "$all_serial_dir/validation.txt"
+cargo run --release --offline -p experiments --bin repro -- \
+    all --scale 0.01 --jobs 4 --hh-shards 3 --out "$all_cut_dir" > /dev/null
+diff -r "$all_serial_dir" "$all_cut_dir"
+
 # Provider-matrix smoke: every spec through the same Home 1 workload on
 # an LTE access profile, twice — the artifacts (throughput CDFs, volume
 # table, bundling-vs-RTT sweep) must be deterministic run over run.
 matrix_dir="$(mktemp -d)"
 matrix_dir2="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$par_dir" "$coarse_dir" "$matrix_dir" "$matrix_dir2"' EXIT
+trap 'rm -rf "$smoke_dir" "$par_dir" "$coarse_dir" "$all_serial_dir" "$all_cut_dir" "$matrix_dir" "$matrix_dir2"' EXIT
 cargo run --release --offline -p experiments --bin repro -- \
     --provider-matrix --access lte --scale 0.02 --jobs 4 --out "$matrix_dir"
 test -s "$matrix_dir/provider_matrix.txt"
@@ -86,7 +100,7 @@ diff -r "$matrix_dir" "$matrix_dir2"
 # against the sync-convergence oracle; `repro --chaos` exits non-zero on
 # any violation.
 chaos_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$par_dir" "$coarse_dir" "$matrix_dir" "$matrix_dir2" "$chaos_dir"' EXIT
+trap 'rm -rf "$smoke_dir" "$par_dir" "$coarse_dir" "$all_serial_dir" "$all_cut_dir" "$matrix_dir" "$matrix_dir2" "$chaos_dir"' EXIT
 cargo run --release --offline -p experiments --bin repro -- \
     --chaos 32 --out "$chaos_dir"
 test -s "$chaos_dir/chaos_soak.txt"
