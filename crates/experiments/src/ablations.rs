@@ -22,7 +22,7 @@ use nettrace::{Endpoint, FlowKey, Ipv4};
 use simcore::{Rng, SimDuration, SimTime};
 use tcpmodel::tls;
 use tcpmodel::{simulate, Dialogue, Direction, Message, PathParams, TcpParams};
-use tstat::Monitor;
+use tstat::FlowObserver;
 
 fn key() -> FlowKey {
     FlowKey::new(
@@ -79,7 +79,7 @@ pub fn initcwnd_ablation() -> Report {
             ..TcpParams::era_2012_v1()
         };
         let d = single_chunk_dialogue(100_000);
-        let mut packets = Vec::new();
+        let mut flow = FlowObserver::new(None);
         let summary = simulate(
             SimTime::from_secs(1),
             key(),
@@ -87,13 +87,12 @@ pub fn initcwnd_ablation() -> Report {
             &path(100, 0.0),
             &tcp,
             &mut Rng::new(1),
-            &mut packets,
+            &mut flow,
         );
         // Handshake completion = delivery of the server's final TLS flight
         // (message index 3), measured from the first SYN.
         let hs_done = summary.deliveries[3].saturating_since(SimTime::from_secs(1));
-        let mut monitor = Monitor::new(true);
-        let rec = monitor.process_flow(&packets).expect("record");
+        let rec = flow.finish().expect("record");
         let thr = throughput_bps(&rec).unwrap_or(0.0);
         handshakes.push((initcwnd, hs_done));
         t.row(vec![
@@ -137,7 +136,7 @@ pub fn loss_ablation() -> Report {
     let mut base = 0.0f64;
     for loss_pct in [0.0f64, 0.1, 0.5, 1.0, 2.0, 5.0] {
         let d = single_chunk_dialogue(size);
-        let mut packets = Vec::new();
+        let mut flow = FlowObserver::new(None);
         simulate(
             SimTime::from_secs(1),
             key(),
@@ -145,10 +144,9 @@ pub fn loss_ablation() -> Report {
             &path(100, loss_pct / 100.0),
             &TcpParams::era_2012_v1(),
             &mut Rng::new(2),
-            &mut packets,
+            &mut flow,
         );
-        let mut monitor = Monitor::new(true);
-        let rec = monitor.process_flow(&packets).expect("record");
+        let rec = flow.finish().expect("record");
         let thr = throughput_bps(&rec).unwrap_or(0.0);
         if loss_pct == 0.0 {
             base = thr;

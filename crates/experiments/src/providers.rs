@@ -32,7 +32,7 @@ use nettrace::{Endpoint, FlowKey, FlowRecord, Ipv4};
 use simcore::stats::Ecdf;
 use simcore::{Rng, SimDuration, SimTime};
 use tcpmodel::{simulate, AccessLink, PathParams, TcpParams};
-use tstat::Monitor;
+use tstat::FlowObserver;
 use workload::shard::ShardPlan;
 use workload::{simulate_shards_into, FaultPlan, SpanFold, VantageKind};
 
@@ -285,7 +285,7 @@ pub fn folder_sync_secs(
             Endpoint::new(Ipv4::new(10, 0, 0, 2), 40_000),
             Endpoint::new(Ipv4::new(107, 22, 0, 5), flow.port),
         );
-        let mut packets = Vec::new();
+        let mut observer = FlowObserver::new(None);
         simulate(
             SimTime::from_secs(1),
             key,
@@ -293,10 +293,9 @@ pub fn folder_sync_secs(
             &path,
             &tcp,
             &mut rng,
-            &mut packets,
+            &mut observer,
         );
-        let mut monitor = Monitor::new(true);
-        if let Some(rec) = monitor.process_flow(&packets) {
+        if let Some(rec) = observer.finish() {
             total += transfer_duration(&rec)
                 .map(|d| d.as_secs_f64())
                 .unwrap_or(0.0);

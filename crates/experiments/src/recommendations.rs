@@ -21,7 +21,7 @@ use nettrace::{Endpoint, FlowKey, Ipv4};
 use simcore::{Rng, SimDuration, SimTime};
 use tcpmodel::tls;
 use tcpmodel::{simulate, CloseMode, Dialogue, Direction, Message, PathParams, TcpParams, Write};
-use tstat::Monitor;
+use tstat::FlowObserver;
 
 /// Protocol variant under test.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -139,7 +139,7 @@ fn measure(variant: Variant, n: u32, chunk_bytes: u32, rtt_ms: u64, seed: u64) -
         Variant::PerChunkAck => TcpParams::era_2012_v1(),
         _ => TcpParams::era_2012_v14(),
     };
-    let mut packets = Vec::new();
+    let mut flow = FlowObserver::new(None);
     simulate(
         SimTime::from_secs(1),
         key,
@@ -147,10 +147,9 @@ fn measure(variant: Variant, n: u32, chunk_bytes: u32, rtt_ms: u64, seed: u64) -
         &path,
         &tcp,
         &mut rng,
-        &mut packets,
+        &mut flow,
     );
-    let mut monitor = Monitor::new(true);
-    let rec = monitor.process_flow(&packets).expect("record");
+    let rec = flow.finish().expect("record");
     let thr = throughput_bps(&rec).unwrap_or(0.0);
     let dur = dropbox_analysis::throughput::transfer_duration(&rec)
         .map(|x| x.as_secs_f64())

@@ -17,9 +17,11 @@
 //!   standard `.pcap` files (synthesising Ethernet/IP/TCP headers), and
 //! * [`flow`] — the Tstat-style per-flow record ([`flow::FlowRecord`]) that
 //!   the monitor exports and the analysis layer consumes,
-//! * [`sink`] — the [`sink::FlowSink`] trait: the streaming boundary
-//!   completed records flow through (monitor → analysis/serialisation)
-//!   without whole-capture materialisation, and
+//! * [`sink`] — the streaming seams: [`sink::PacketSink`], which packets
+//!   cross in probe order (TCP model → monitor) without a per-flow
+//!   packet vector, and [`sink::FlowSink`], which completed records flow
+//!   through (monitor → analysis/serialisation) without whole-capture
+//!   materialisation, and
 //! * [`flowlog`] — its JSON-lines serialisation with anonymisation,
 //!   mirroring the anonymised flow logs the paper published; the
 //!   streaming [`flowlog::JsonlWriter`]/[`flowlog::JsonlReader`] forms
@@ -38,4 +40,4 @@ pub mod sink;
 pub use endpoint::{Endpoint, FlowKey, Ipv4};
 pub use flow::FlowRecord;
 pub use packet::{AppMarker, Packet, TcpFlags};
-pub use sink::FlowSink;
+pub use sink::{FlowSink, PacketSink};

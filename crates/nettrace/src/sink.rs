@@ -1,19 +1,37 @@
-//! The streaming record boundary between capture and analysis.
+//! The two streaming seams of the pipeline.
+//!
+//! A [`PacketSink`] consumes packets one at a time as they cross the
+//! probe, in probe-timestamp order: `tcpmodel` emits a connection into
+//! one, and `tstat::FlowObserver` is one, so a flow is measured without
+//! its packets ever being collected. The `Vec<Packet>` sink keeps the
+//! trace for pcap export, examples and tests.
 //!
 //! A [`FlowSink`] consumes completed [`FlowRecord`]s one at a time, in
-//! the order the monitor finalises them. It is the seam the whole
-//! pipeline hangs on: `tstat::Monitor` drains finished flows into a
-//! sink, the workload driver emits a capture into a sink as it renders,
-//! and the analysis layer's fan-out pipeline *is* a sink — so a capture
-//! can be simulated, serialised, re-read and analysed without ever
-//! materialising the full record vector.
+//! the order the monitor finalises them: `tstat::Monitor` drains finished
+//! flows into a sink, so a capture can be serialised, re-read and
+//! analysed without materialising the full record vector.
 //!
-//! Determinism contract: a sink observes records in a single canonical
-//! order (the monitor's finalisation order). Producers never reorder,
-//! batch or drop records on the way into a sink, so feeding the same
-//! capture through any sink chain is byte-reproducible.
+//! Determinism contract: a sink observes its items in a single canonical
+//! order (probe order for packets, the monitor's finalisation order for
+//! records). Producers never reorder, batch or drop items on the way into
+//! a sink, so feeding the same capture through any sink is
+//! byte-reproducible.
 
 use crate::flow::FlowRecord;
+use crate::packet::Packet;
+
+/// A consumer of the packets crossing the probe.
+pub trait PacketSink {
+    /// Accept the next packet; timestamps never decrease between calls.
+    fn accept(&mut self, pkt: Packet);
+}
+
+/// The materialising sink: keep the trace.
+impl PacketSink for Vec<Packet> {
+    fn accept(&mut self, pkt: Packet) {
+        self.push(pkt);
+    }
+}
 
 /// A consumer of completed flow records.
 pub trait FlowSink {

@@ -1,8 +1,8 @@
 //! The per-connection TCP simulator.
 //!
-//! [`simulate`] plays a [`Dialogue`] over a modelled path and appends every
-//! packet that crosses the vantage-point probe to the output buffer, in
-//! chronological order. The transfer engine is round-based: each RTT the
+//! [`simulate`] plays a [`Dialogue`] over a modelled path and hands every
+//! packet that crosses the vantage-point probe to a [`PacketSink`], in
+//! probe order. The transfer engine is round-based: each RTT the
 //! sender emits up to a congestion window of segments, the receiver
 //! acknowledges (delayed ACKs), and the window evolves by slow start /
 //! congestion avoidance, with fast-retransmit and RTO recovery on loss.
@@ -10,9 +10,9 @@
 //! latency for small flows (Fig. 9's θ bound), sequential-acknowledgment
 //! stalls for many-chunk flows (Fig. 10), and retransmission counts.
 
-use crate::dialogue::{CloseMode, Dialogue, Direction};
+use crate::dialogue::{CloseMode, Dialogue, Direction, Write};
 use crate::params::{PathParams, TcpParams};
-use nettrace::{AppMarker, FlowKey, Packet, TcpFlags};
+use nettrace::{AppMarker, FlowKey, Packet, PacketSink, TcpFlags};
 use simcore::faults::FlowFaults;
 use simcore::{Rng, SimDuration, SimTime};
 
@@ -95,23 +95,86 @@ impl Sender {
     }
 }
 
-/// Everything needed to emit probe-timestamped packets.
-struct Wire<'a> {
-    key: FlowKey,
-    path: &'a PathParams,
-    out: &'a mut Vec<Packet>,
-    last_ts: SimTime,
+/// A message's writes cut into MSS-sized segments, front to back: each
+/// segment is `(len, psh, marker)`, PSH on the last segment of a write and
+/// the write's marker on its first.
+struct Segments<'d> {
+    /// Writes not fully cut yet; the first is the one being cut.
+    writes: &'d [Write],
+    /// Bytes of `writes[0]` already cut.
+    cut: u32,
+    mss: u32,
 }
 
-impl Wire<'_> {
-    /// One-way latency from the sender of `dir` to the probe.
-    fn to_probe(&self, dir: Direction) -> SimDuration {
-        match dir {
-            Direction::Up => self.path.inner_rtt / 2,
-            Direction::Down => self.path.outer_rtt / 2,
+impl<'d> Segments<'d> {
+    fn new(writes: &'d [Write], mss: u32) -> Self {
+        let mut s = Segments {
+            writes,
+            cut: 0,
+            mss,
+        };
+        s.skip_spent();
+        s
+    }
+
+    /// Drop the fully cut write (and any zero-size ones after it).
+    fn skip_spent(&mut self) {
+        while let Some(w) = self.writes.first() {
+            debug_assert!(w.size > 0, "zero-size write");
+            if self.cut < w.size {
+                break;
+            }
+            self.writes = &self.writes[1..];
+            self.cut = 0;
         }
     }
 
+    fn is_done(&self) -> bool {
+        self.writes.is_empty()
+    }
+}
+
+impl<'d> Iterator for Segments<'d> {
+    type Item = (u32, bool, Option<&'d AppMarker>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let w = self.writes.first()?;
+        let len = (w.size - self.cut).min(self.mss);
+        let marker = if self.cut == 0 {
+            w.marker.as_ref()
+        } else {
+            None
+        };
+        self.cut += len;
+        let psh = self.cut == w.size;
+        self.skip_spent();
+        Some((len, psh, marker))
+    }
+}
+
+/// Emits probe-timestamped packets into a sink, in probe order.
+///
+/// Packets are made in send order, which is not probe order: an ACK sent
+/// in one round can cross the probe after data sent in the next. They
+/// wait in `pending`, each inserted after every pending packet with an
+/// equal or earlier timestamp, until [`Wire::release`] shows that no later
+/// send can precede them. The sink therefore sees exactly the stable
+/// timestamp order of the whole connection.
+struct Wire<'a, S: PacketSink + ?Sized> {
+    key: FlowKey,
+    /// One-way delay from the client to the probe.
+    inner_half: SimDuration,
+    /// One-way delay from the server to the probe.
+    outer_half: SimDuration,
+    sink: &'a mut S,
+    /// Packets not yet handed to the sink, in stable timestamp order.
+    pending: Vec<Packet>,
+    /// The last watermark released: no packet may reach the probe before it.
+    released: SimTime,
+    last_ts: SimTime,
+}
+
+impl<S: PacketSink + ?Sized> Wire<'_, S> {
     #[allow(clippy::too_many_arguments)]
     fn emit(
         &mut self,
@@ -123,13 +186,18 @@ impl Wire<'_> {
         payload: u32,
         marker: Option<AppMarker>,
     ) {
-        let ts = send_time + self.to_probe(dir);
-        let (src, dst) = match dir {
-            Direction::Up => (self.key.client, self.key.server),
-            Direction::Down => (self.key.server, self.key.client),
+        let (src, dst, to_probe) = match dir {
+            Direction::Up => (self.key.client, self.key.server, self.inner_half),
+            Direction::Down => (self.key.server, self.key.client, self.outer_half),
         };
+        let ts = send_time + to_probe;
+        debug_assert!(
+            ts >= self.released,
+            "packet at {ts:?} emitted behind the released watermark {:?}",
+            self.released
+        );
         self.last_ts = self.last_ts.max(ts);
-        self.out.push(Packet {
+        let pkt = Packet {
             ts,
             src,
             dst,
@@ -138,21 +206,51 @@ impl Wire<'_> {
             flags,
             payload_len: payload,
             marker,
-        });
+        };
+        match self.pending.last() {
+            Some(last) if last.ts > ts => {
+                let at = self.pending.partition_point(|p| p.ts <= ts);
+                self.pending.insert(at, pkt);
+            }
+            _ => self.pending.push(pkt),
+        }
+    }
+
+    /// Every send from now on happens at or after `now`, so it reaches the
+    /// probe no earlier than `now` plus the shorter one-way delay: hand the
+    /// sink every pending packet up to that watermark. A later packet with
+    /// exactly the watermark's timestamp sorts after the released ones
+    /// anyway, because it was emitted after them.
+    fn release(&mut self, now: SimTime) {
+        let watermark = now + self.inner_half.min(self.outer_half);
+        let ready = self.pending.partition_point(|p| p.ts <= watermark);
+        for pkt in self.pending.drain(..ready) {
+            self.sink.accept(pkt);
+        }
+        self.released = watermark;
+    }
+
+    /// Hand the sink what is left; returns the last probe timestamp.
+    fn finish(self) -> SimTime {
+        for pkt in self.pending {
+            self.sink.accept(pkt);
+        }
+        self.last_ts
     }
 }
 
-/// Simulate one connection; packets are appended to `out` and then the
-/// appended range is sorted by probe timestamp.
+/// Simulate one connection, handing every packet that crosses the probe
+/// to `out` in probe-timestamp order (packets with equal timestamps in
+/// the order the model produced them).
 #[allow(clippy::too_many_arguments)]
-pub fn simulate(
+pub fn simulate<S: PacketSink + ?Sized>(
     start: SimTime,
     key: FlowKey,
     dialogue: &Dialogue,
     path: &PathParams,
     tcp: &TcpParams,
     rng: &mut Rng,
-    out: &mut Vec<Packet>,
+    out: &mut S,
 ) -> ConnSummary {
     simulate_faulty(start, key, dialogue, path, tcp, None, rng, out)
 }
@@ -167,7 +265,7 @@ pub fn simulate(
 /// paths of the plain simulator: same packets, same RNG draws,
 /// byte-for-byte identical output.
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_faulty(
+pub fn simulate_faulty<S: PacketSink + ?Sized>(
     start: SimTime,
     key: FlowKey,
     dialogue: &Dialogue,
@@ -175,7 +273,7 @@ pub fn simulate_faulty(
     tcp: &TcpParams,
     faults: Option<&FlowFaults>,
     rng: &mut Rng,
-    out: &mut Vec<Packet>,
+    out: &mut S,
 ) -> ConnSummary {
     let spike = faults
         .and_then(|f| f.latency_spike)
@@ -183,11 +281,13 @@ pub fn simulate_faulty(
     let extra_loss = faults.map(|f| f.extra_loss).unwrap_or(0.0);
     let reset_after = faults.and_then(|f| f.reset_after_bytes);
 
-    let first_new = out.len();
     let mut wire = Wire {
         key,
-        path,
-        out,
+        inner_half: path.inner_rtt / 2,
+        outer_half: path.outer_rtt / 2,
+        sink: out,
+        pending: Vec::new(),
+        released: start,
         last_ts: start,
     };
     let total_rtt = path.total_rtt() + spike;
@@ -223,6 +323,12 @@ pub fn simulate_faulty(
     let mut aborted = false;
     let mut abort_at = established;
 
+    // Round buffers, reused across rounds and messages. A burst segment is
+    // (seq, len, psh, marker, is_rtx); a queued or lost one (seq, len, psh).
+    let mut burst: Vec<(u32, u32, bool, Option<&AppMarker>, bool)> = Vec::new();
+    let mut lost: Vec<(u32, u32, bool)> = Vec::new();
+    let mut rtx_queue: Vec<(u32, u32, bool)> = Vec::new();
+
     'msgs: for msg in &dialogue.messages {
         let trigger = ready + msg.delay;
         let mut clock = trigger;
@@ -238,46 +344,34 @@ pub fn simulate_faulty(
         };
         sender.maybe_idle_restart(trigger, tcp.idle_restart);
 
-        // Build the segment plan for the whole message: (len, psh, marker).
-        let mut segments: Vec<(u32, bool, Option<AppMarker>)> = Vec::new();
-        for w in &msg.writes {
-            debug_assert!(w.size > 0, "zero-size write");
-            let mut remaining = w.size;
-            let mut first = true;
-            while remaining > 0 {
-                let len = remaining.min(tcp.mss);
-                remaining -= len;
-                let marker = if first { w.marker.clone() } else { None };
-                first = false;
-                segments.push((len, remaining == 0, marker));
-            }
-        }
-
+        let mut segments = Segments::new(&msg.writes, tcp.mss);
         let rate = match msg.dir {
             Direction::Up => path.up_rate,
             Direction::Down => path.down_rate,
         };
 
         // Round-based transfer with a retransmission queue.
-        let mut idx = 0usize; // next fresh segment
-        let mut rtx_queue: Vec<(u32, u32, bool)> = Vec::new(); // (seq, len, psh)
         let mut last_arrival = clock;
-        while idx < segments.len() || !rtx_queue.is_empty() {
+        while !segments.is_done() || !rtx_queue.is_empty() {
+            // Every send of this round, later rounds, later messages and
+            // the close happens at or after `clock`.
+            wire.release(clock);
             let rtt_round = total_rtt.mul_f64(1.0 + path.jitter * rng.f64());
             let window = (sender.cwnd as u32).clamp(1, tcp.rwnd_segments) as usize;
 
             // Compose this round's burst: retransmissions first.
-            let mut burst: Vec<(u32, u32, bool, Option<AppMarker>, bool)> = Vec::new();
-            for &(seq, len, psh) in rtx_queue.iter().take(window) {
-                burst.push((seq, len, psh, None, true));
-            }
-            let rtx_in_burst = burst.len();
-            rtx_queue.drain(..rtx_in_burst);
-            while burst.len() < window && idx < segments.len() {
-                let (len, psh, marker) = segments[idx].clone();
+            let resent = rtx_queue.len().min(window);
+            burst.extend(
+                rtx_queue
+                    .drain(..resent)
+                    .map(|(seq, len, psh)| (seq, len, psh, None, true)),
+            );
+            while burst.len() < window {
+                let Some((len, psh, marker)) = segments.next() else {
+                    break;
+                };
                 burst.push((sender.next_seq, len, psh, marker, false));
                 sender.next_seq = sender.next_seq.wrapping_add(len);
-                idx += 1;
             }
 
             let burst_bytes: u64 = burst.iter().map(|s| s.1 as u64).sum();
@@ -302,12 +396,10 @@ pub fn simulate_faulty(
             };
 
             let mut delivered = 0usize;
-            let mut lost: Vec<(u32, u32, bool)> = Vec::new();
-            let mut first_hole: Option<u32> = None;
             let n = burst.len();
-            for (i, (seq, len, psh, marker, is_rtx)) in burst.into_iter().enumerate() {
+            for (i, (seq, len, psh, marker, is_rtx)) in burst.drain(..).enumerate() {
                 // Spread segments across the serialisation window.
-                let offset = if n > 1 {
+                let offset = if n > 1 && !serialize.is_zero() {
                     serialize.mul_f64(i as f64 / n as f64)
                 } else {
                     SimDuration::ZERO
@@ -317,7 +409,15 @@ pub fn simulate_faulty(
                 if psh {
                     flags = flags.union(TcpFlags::PSH);
                 }
-                wire.emit(msg.dir, send_t, seq, peer_ack_base, flags, len, marker);
+                wire.emit(
+                    msg.dir,
+                    send_t,
+                    seq,
+                    peer_ack_base,
+                    flags,
+                    len,
+                    marker.cloned(),
+                );
                 sender.bytes_sent += len as u64;
                 total_payload_sent += len as u64;
                 if is_rtx {
@@ -327,9 +427,6 @@ pub fn simulate_faulty(
                 let dropped = loss_p > 0.0 && rng.chance(loss_p);
                 if dropped && !is_rtx {
                     lost.push((seq, len, psh));
-                    if first_hole.is_none() {
-                        first_hole = Some(seq);
-                    }
                 } else {
                     delivered += 1;
                     // Receiver-side bookkeeping happens below.
@@ -340,15 +437,13 @@ pub fn simulate_faulty(
 
             // Receiver ACKs: cumulative up to the first hole; one delayed
             // ACK per two delivered segments (at least one).
-            let delivered_bytes: u32 = if lost.is_empty() {
-                burst_bytes as u32
-            } else {
+            let delivered_bytes: u32 = match lost.first() {
+                None => burst_bytes as u32,
                 // Bytes before the first hole.
-                let hole = first_hole.expect("hole recorded");
-                hole.wrapping_sub(match msg.dir {
+                Some(&(hole, _, _)) => hole.wrapping_sub(match msg.dir {
                     Direction::Up => recvd_up,
                     Direction::Down => recvd_down,
-                })
+                }),
             };
             let new_recvd = match msg.dir {
                 Direction::Up => {
@@ -382,7 +477,7 @@ pub fn simulate_faulty(
             // Window evolution and next-round clock.
             if lost.is_empty() {
                 sender.on_ack_progress(delivered as u32);
-                clock = clock + serialize.max(SimDuration::ZERO) + rtt_round;
+                clock = clock + serialize + rtt_round;
                 // When everything has been sent we do not need to wait for
                 // the final ACK round to trigger the peer's reply: the peer
                 // reacts to the *arrival* of the data. `clock` advances for
@@ -390,7 +485,7 @@ pub fn simulate_faulty(
             } else {
                 let fast = delivered >= 3;
                 sender.on_loss(fast);
-                rtx_queue.splice(0..0, lost);
+                rtx_queue.splice(0..0, lost.drain(..));
                 let recovery = if fast {
                     rtt_round
                 } else {
@@ -417,7 +512,7 @@ pub fn simulate_faulty(
     }
 
     // --- Close ----------------------------------------------------------
-    if aborted {
+    let close = if aborted {
         // The fault profile cut the flow: the client tears down with a
         // bare RST and nothing else is exchanged.
         wire.emit(
@@ -429,22 +524,11 @@ pub fn simulate_faulty(
             0,
             None,
         );
-        let last_packet = wire.last_ts;
-        out[first_new..].sort_by_key(|p| p.ts);
-        return ConnSummary {
-            established,
-            last_packet,
-            deliveries,
-            bytes_up: up.bytes_sent,
-            bytes_down: down.bytes_sent,
-            rtx_up: up.rtx_segments,
-            rtx_down: down.rtx_segments,
-            rtx_bytes_up: up.rtx_bytes,
-            rtx_bytes_down: down.rtx_bytes,
-            aborted: true,
-        };
-    }
-    match dialogue.close {
+        CloseMode::LeftOpen // no close packets after the reset
+    } else {
+        dialogue.close
+    };
+    match close {
         CloseMode::ServerIdleTimeout { idle, alert_size } => {
             let t = ready + idle;
             // Alert (PSH) + FIN in one segment, then client RST.
@@ -515,12 +599,9 @@ pub fn simulate_faulty(
         CloseMode::LeftOpen => {}
     }
 
-    let last_packet = wire.last_ts;
-    out[first_new..].sort_by_key(|p| p.ts);
-
     ConnSummary {
         established,
-        last_packet,
+        last_packet: wire.finish(),
         deliveries,
         bytes_up: up.bytes_sent,
         bytes_down: down.bytes_sent,
@@ -528,7 +609,7 @@ pub fn simulate_faulty(
         rtx_down: down.rtx_segments,
         rtx_bytes_up: up.rtx_bytes,
         rtx_bytes_down: down.rtx_bytes,
-        aborted: false,
+        aborted,
     }
 }
 

@@ -1,10 +1,14 @@
 //! Property-based invariants of the TCP model.
 
 use nettrace::{Endpoint, FlowKey, Ipv4, Packet, TcpFlags};
+use simcore::faults::FlowFaults;
 use simcore::proptest::{any_bool, vec_of};
 use simcore::{prop_assert, prop_assert_eq, proptest};
 use simcore::{Rng, SimDuration, SimTime};
-use tcpmodel::{simulate, CloseMode, Dialogue, Direction, Message, PathParams, TcpParams, Write};
+use tcpmodel::{
+    simulate, simulate_faulty, AccessLink, CloseMode, Dialogue, Direction, Message, PathParams,
+    TcpParams, Write,
+};
 
 fn key() -> FlowKey {
     FlowKey::new(
@@ -74,10 +78,17 @@ proptest! {
     }
 
     /// Packets are emitted in non-decreasing probe time, and deliveries are
-    /// monotone in message order.
+    /// monotone in message order, over every access-link profile, fault
+    /// profile and close mode.
     #[test]
     fn chronology_and_delivery_monotonicity(
         sizes in vec_of(1u32..60_000, 1..8),
+        link in 0usize..3,
+        close in 0u8..4,
+        extra_loss_m in 0u64..80,
+        spike_ms in 0u64..300,
+        reset_after in 1u64..300_000,
+        faults_on in (any_bool(), any_bool(), any_bool()),
         seed in 0u64..200,
     ) {
         let messages: Vec<Message> = sizes
@@ -89,24 +100,34 @@ proptest! {
                 s,
             ))
             .collect();
-        let d = Dialogue::new(messages);
-        let path = PathParams {
-            inner_rtt: SimDuration::from_millis(10),
-            outer_rtt: SimDuration::from_millis(90),
-            jitter: 0.08,
-            loss_up: 0.005,
-            loss_down: 0.005,
-            up_rate: None,
-            down_rate: None,
+        let close = match close {
+            0 => CloseMode::ServerIdleTimeout { idle: SimDuration::from_secs(60), alert_size: 37 },
+            1 => CloseMode::ClientFin { delay: SimDuration::from_millis(5) },
+            2 => CloseMode::ClientRst { delay: SimDuration::from_millis(5) },
+            _ => CloseMode::LeftOpen,
         };
-        let (pkts, s) = run(&d, &path, seed);
+        let d = Dialogue::new(messages).with_close(close);
+        let path = AccessLink::by_name(["wired", "wifi", "lte"][link])
+            .expect("known access profile")
+            .path(SimDuration::from_millis(90), &mut Rng::new(seed));
+        let faults = FlowFaults {
+            extra_loss: if faults_on.0 { extra_loss_m as f64 / 1000.0 } else { 0.0 },
+            latency_spike: faults_on.1.then(|| SimDuration::from_millis(spike_ms)),
+            reset_after_bytes: faults_on.2.then_some(reset_after),
+        };
+        let mut pkts: Vec<Packet> = Vec::new();
+        let s = simulate_faulty(SimTime::from_secs(2), key(), &d, &path,
+            &TcpParams::era_2012_v1(), Some(&faults), &mut Rng::new(seed), &mut pkts);
         for w in pkts.windows(2) {
             prop_assert!(w[0].ts <= w[1].ts);
         }
         for w in s.deliveries.windows(2) {
             prop_assert!(w[0] <= w[1], "deliveries out of order");
         }
-        prop_assert!(s.last_packet >= *s.deliveries.last().unwrap());
+        prop_assert_eq!(Some(s.last_packet), pkts.last().map(|p| p.ts));
+        if let Some(&delivered) = s.deliveries.last() {
+            prop_assert!(s.last_packet >= delivered);
+        }
     }
 
     /// An uplink rate cap can only slow a transfer down, never speed it up.

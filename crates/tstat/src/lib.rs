@@ -17,6 +17,10 @@
 //! * notification-payload inspection: device `host_int` and namespace
 //!   lists are cleartext (Sec. 2.3.1).
 //!
+//! [`FlowObserver`] is the same per-packet reconstruction for one
+//! connection, with no flow table: a [`PacketSink`] the TCP model streams
+//! a simulated flow into, packet by packet in probe order.
+//!
 //! The monitor never reads opaque payload bytes: everything comes from
 //! headers, sizes, timing, and the cleartext/handshake fields a real DPI
 //! probe could parse.
@@ -25,9 +29,9 @@
 #![warn(missing_docs)]
 
 use nettrace::flow::{DirStats, FlowClose, NotifyMeta};
-use nettrace::{AppMarker, FlowKey, FlowRecord, Ipv4, Packet};
+use nettrace::{AppMarker, FlowKey, FlowRecord, Ipv4, Packet, PacketSink};
 use simcore::SimTime;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Maximum outstanding (unacknowledged) client segments tracked for RTT
 /// sampling per flow.
@@ -44,7 +48,9 @@ struct FlowState {
     max_seq_end_down: u32,
     seen_up_data: bool,
     seen_down_data: bool,
-    outstanding: Vec<(u32, SimTime)>, // client seq_end -> probe ts
+    /// Client segments awaiting a covering server ACK: (seq_end, probe
+    /// ts), in ascending `seq_end` (only new data is queued).
+    outstanding: VecDeque<(u32, SimTime)>,
     karn_suspended: bool,
     min_rtt: Option<f64>,
     rtt_samples: u32,
@@ -73,7 +79,7 @@ impl FlowState {
             max_seq_end_down: 0,
             seen_up_data: false,
             seen_down_data: false,
-            outstanding: Vec::new(),
+            outstanding: VecDeque::new(),
             karn_suspended: false,
             min_rtt: None,
             rtt_samples: 0,
@@ -85,6 +91,118 @@ impl FlowState {
             fin_down: false,
             rst: false,
             last_data_psh: true,
+        }
+    }
+
+    /// Fold one packet of this connection; `from_client` orients it.
+    fn observe(&mut self, pkt: &Packet, from_client: bool) {
+        self.last_packet = self.last_packet.max(pkt.ts);
+
+        // --- RTT sampling (probe ↔ server semi-connection) -------------
+        if from_client {
+            if pkt.flags.syn() || pkt.payload_len > 0 {
+                let seq_end = pkt
+                    .seq
+                    .wrapping_add(pkt.payload_len.max(if pkt.flags.syn() { 1 } else { 0 }));
+                // Retransmission? (seen this sequence range before)
+                let is_rtx = pkt.payload_len > 0
+                    && self.seen_up_data
+                    && seq_le(seq_end, self.max_seq_end_up);
+                if is_rtx {
+                    // Karn: stop sampling until acks pass the rtx point.
+                    self.karn_suspended = true;
+                    self.outstanding.clear();
+                } else if self.outstanding.len() < RTT_WINDOW && !self.karn_suspended {
+                    self.outstanding.push_back((seq_end, pkt.ts));
+                }
+            }
+        } else if pkt.flags.ack() {
+            // Server ACK: sample every outstanding segment it covers.
+            while let Some((_, t_data)) = pop_acked(&mut self.outstanding, pkt.ack_no) {
+                let sample_ms = (pkt.ts - t_data).as_secs_f64() * 1_000.0;
+                self.min_rtt = Some(match self.min_rtt {
+                    Some(m) => m.min(sample_ms),
+                    None => sample_ms,
+                });
+                self.rtt_samples += 1;
+            }
+            if self.karn_suspended && self.outstanding.is_empty() {
+                self.karn_suspended = false;
+            }
+        }
+
+        // --- Per-direction counters -------------------------------------
+        let (dir, max_seq_end, seen_data) = if from_client {
+            (
+                &mut self.up,
+                &mut self.max_seq_end_up,
+                &mut self.seen_up_data,
+            )
+        } else {
+            (
+                &mut self.down,
+                &mut self.max_seq_end_down,
+                &mut self.seen_down_data,
+            )
+        };
+        dir.packets += 1;
+        if pkt.payload_len > 0 {
+            let seq_end = pkt.seq.wrapping_add(pkt.payload_len);
+            if *seen_data && seq_le(seq_end, *max_seq_end) {
+                dir.retransmissions += 1;
+                dir.rtx_bytes += pkt.payload_len as u64;
+            } else {
+                dir.bytes += pkt.payload_len as u64;
+                *max_seq_end = seq_end;
+                *seen_data = true;
+            }
+            if pkt.flags.psh() {
+                dir.psh_segments += 1;
+            }
+            if dir.first_payload.is_none() {
+                dir.first_payload = Some(pkt.ts);
+            }
+            dir.last_payload = Some(pkt.ts);
+            self.last_data_psh = pkt.flags.psh();
+        }
+
+        // --- DPI-visible content ----------------------------------------
+        if let Some(marker) = &pkt.marker {
+            match marker {
+                AppMarker::TlsClientHello { sni } => {
+                    self.tls_sni.get_or_insert_with(|| sni.clone());
+                }
+                AppMarker::TlsCertificate { common_name } => {
+                    self.tls_cn.get_or_insert_with(|| common_name.clone());
+                }
+                AppMarker::HttpRequest { host, .. } => {
+                    self.http_host.get_or_insert_with(|| host.clone());
+                }
+                AppMarker::HttpResponse { .. } => {}
+                AppMarker::NotifyRequest {
+                    host,
+                    host_int,
+                    namespaces,
+                } => {
+                    self.http_host.get_or_insert_with(|| host.clone());
+                    self.notify = Some(NotifyMeta {
+                        host_int: *host_int,
+                        namespaces: namespaces.clone(),
+                    });
+                }
+            }
+        }
+
+        // --- Close tracking ----------------------------------------------
+        if pkt.flags.rst() {
+            self.rst = true;
+        }
+        if pkt.flags.fin() {
+            if from_client {
+                self.fin_up = true;
+            } else {
+                self.fin_down = true;
+            }
         }
     }
 
@@ -125,6 +243,16 @@ fn seq_le(a: u32, b: u32) -> bool {
     b.wrapping_sub(a) < 0x8000_0000
 }
 
+/// Pop the next outstanding segment a cumulative ACK of `ack_no` covers.
+/// Segments are queued in ascending `seq_end`, so the covered ones are a
+/// prefix of the queue and popping until `None` takes exactly them.
+fn pop_acked(outstanding: &mut VecDeque<(u32, SimTime)>, ack_no: u32) -> Option<(u32, SimTime)> {
+    match outstanding.front() {
+        Some(&(seq_end, _)) if seq_le(seq_end, ack_no) => outstanding.pop_front(),
+        _ => None,
+    }
+}
+
 /// The passive monitor of one vantage point.
 pub struct Monitor {
     flows: BTreeMap<FlowKey, FlowState>,
@@ -161,7 +289,8 @@ impl Monitor {
     /// Feed one packet.
     pub fn observe(&mut self, pkt: &Packet) {
         // Determine orientation: a pure SYN identifies the client side.
-        let (key, from_client) = if pkt.flags.syn() && !pkt.flags.ack() {
+        let syn = pkt.flags.syn() && !pkt.flags.ack();
+        let (key, from_client) = if syn {
             (FlowKey::new(pkt.src, pkt.dst), true)
         } else if let Some(key) = self.orient(pkt) {
             key
@@ -177,10 +306,9 @@ impl Monitor {
 
         // A fresh SYN for a key already tracked (port reuse) finalizes the
         // previous incarnation.
-        if pkt.flags.syn() && !pkt.flags.ack() {
+        if syn {
             if let Some(old) = self.flows.remove(&key) {
-                let fqdn = self.dns_view.get(&old.key.server.ip).cloned();
-                self.done.push(old.finalize(fqdn));
+                self.complete(old);
             }
         }
 
@@ -188,130 +316,13 @@ impl Monitor {
             .flows
             .entry(key)
             .or_insert_with(|| FlowState::new(key, pkt.ts));
-        state.last_packet = state.last_packet.max(pkt.ts);
-
-        // --- RTT sampling (probe ↔ server semi-connection) -------------
-        if from_client {
-            if pkt.flags.syn() || pkt.payload_len > 0 {
-                let seq_end = pkt
-                    .seq
-                    .wrapping_add(pkt.payload_len.max(if pkt.flags.syn() { 1 } else { 0 }));
-                // Retransmission? (seen this sequence range before)
-                let is_rtx = pkt.payload_len > 0
-                    && state.seen_up_data
-                    && seq_le(seq_end, state.max_seq_end_up);
-                if is_rtx {
-                    // Karn: stop sampling until acks pass the rtx point.
-                    state.karn_suspended = true;
-                    state.outstanding.clear();
-                } else if state.outstanding.len() < RTT_WINDOW && !state.karn_suspended {
-                    state.outstanding.push((seq_end, pkt.ts));
-                }
-            }
-        } else if pkt.flags.ack() {
-            // Server ACK: sample every outstanding segment it covers.
-            let mut i = 0;
-            while i < state.outstanding.len() {
-                let (seq_end, t_data) = state.outstanding[i];
-                if seq_le(seq_end, pkt.ack_no) {
-                    let sample_ms = (pkt.ts - t_data).as_secs_f64() * 1_000.0;
-                    state.min_rtt = Some(match state.min_rtt {
-                        Some(m) => m.min(sample_ms),
-                        None => sample_ms,
-                    });
-                    state.rtt_samples += 1;
-                    state.outstanding.swap_remove(i);
-                } else {
-                    i += 1;
-                }
-            }
-            if state.karn_suspended && state.outstanding.is_empty() {
-                state.karn_suspended = false;
-            }
-        }
-
-        // --- Per-direction counters -------------------------------------
-        let (dir, max_seq_end, seen_data) = if from_client {
-            (
-                &mut state.up,
-                &mut state.max_seq_end_up,
-                &mut state.seen_up_data,
-            )
-        } else {
-            (
-                &mut state.down,
-                &mut state.max_seq_end_down,
-                &mut state.seen_down_data,
-            )
-        };
-        dir.packets += 1;
-        if pkt.payload_len > 0 {
-            let seq_end = pkt.seq.wrapping_add(pkt.payload_len);
-            if *seen_data && seq_le(seq_end, *max_seq_end) {
-                dir.retransmissions += 1;
-                dir.rtx_bytes += pkt.payload_len as u64;
-            } else {
-                dir.bytes += pkt.payload_len as u64;
-                *max_seq_end = seq_end;
-                *seen_data = true;
-            }
-            if pkt.flags.psh() {
-                dir.psh_segments += 1;
-            }
-            if dir.first_payload.is_none() {
-                dir.first_payload = Some(pkt.ts);
-            }
-            dir.last_payload = Some(pkt.ts);
-        }
-        if pkt.payload_len > 0 {
-            state.last_data_psh = pkt.flags.psh();
-        }
-
-        // --- DPI-visible content ----------------------------------------
-        if let Some(marker) = &pkt.marker {
-            match marker {
-                AppMarker::TlsClientHello { sni } => {
-                    state.tls_sni.get_or_insert_with(|| sni.clone());
-                }
-                AppMarker::TlsCertificate { common_name } => {
-                    state.tls_cn.get_or_insert_with(|| common_name.clone());
-                }
-                AppMarker::HttpRequest { host, .. } => {
-                    state.http_host.get_or_insert_with(|| host.clone());
-                }
-                AppMarker::HttpResponse { .. } => {}
-                AppMarker::NotifyRequest {
-                    host,
-                    host_int,
-                    namespaces,
-                } => {
-                    state.http_host.get_or_insert_with(|| host.clone());
-                    state.notify = Some(NotifyMeta {
-                        host_int: *host_int,
-                        namespaces: namespaces.clone(),
-                    });
-                }
-            }
-        }
-
-        // --- Close tracking ----------------------------------------------
-        if pkt.flags.rst() {
-            state.rst = true;
-        }
-        if pkt.flags.fin() {
-            if from_client {
-                state.fin_up = true;
-            } else {
-                state.fin_down = true;
-            }
-        }
+        state.observe(pkt, from_client);
         // A reset is the last packet of a connection: finalize eagerly.
         // Orderly FIN closes are finalized lazily (at flush or on port
         // reuse) because the final ACK still belongs to the flow.
         if state.rst {
             let state = self.flows.remove(&key).expect("state exists");
-            let fqdn = self.dns_view.get(&key.server.ip).cloned();
-            self.done.push(state.finalize(fqdn));
+            self.complete(state);
         }
     }
 
@@ -326,6 +337,13 @@ impl Monitor {
             return Some((as_server, false));
         }
         None
+    }
+
+    /// Finalize a flow, labelled from the current DNS view, into the
+    /// completed list.
+    fn complete(&mut self, state: FlowState) {
+        let fqdn = self.dns_view.get(&state.key.server.ip).cloned();
+        self.done.push(state.finalize(fqdn));
     }
 
     /// Take the flows completed so far.
@@ -345,11 +363,8 @@ impl Monitor {
     /// emit everything not yet drained into `sink` (same order as
     /// [`Monitor::flush`]).
     pub fn flush_into(&mut self, sink: &mut dyn nettrace::FlowSink) {
-        let keys: Vec<FlowKey> = self.flows.keys().copied().collect();
-        for key in keys {
-            let state = self.flows.remove(&key).expect("key listed");
-            let fqdn = self.dns_view.get(&key.server.ip).cloned();
-            self.done.push(state.finalize(fqdn));
+        for (_, state) in std::mem::take(&mut self.flows) {
+            self.complete(state);
         }
         self.drain_into(sink);
     }
@@ -366,42 +381,84 @@ impl Monitor {
             .collect();
         for key in keys {
             let state = self.flows.remove(&key).expect("listed");
-            let fqdn = self.dns_view.get(&key.server.ip).cloned();
-            self.done.push(state.finalize(fqdn));
+            self.complete(state);
         }
     }
 
     /// End of capture: finalize all remaining flows and return everything
     /// not yet drained.
     pub fn flush(&mut self) -> Vec<FlowRecord> {
-        let keys: Vec<FlowKey> = self.flows.keys().copied().collect();
-        for key in keys {
-            let state = self.flows.remove(&key).expect("key listed");
-            let fqdn = self.dns_view.get(&key.server.ip).cloned();
-            self.done.push(state.finalize(fqdn));
-        }
-        self.drain_completed()
+        let mut records = Vec::new();
+        self.flush_into(&mut records);
+        records
     }
 
-    /// Convenience: process the complete packet trace of a single
-    /// connection and return its record. Equivalent to `observe`ing every
-    /// packet and flushing. DNS labelling uses the monitor's current view.
+    /// Convenience: the record of the single connection whose packets are
+    /// `packets` — a [`FlowObserver`] over the slice, labelled from the
+    /// monitor's current DNS view. `None` when no SYN opens a connection.
+    /// The monitor's own flow table is not touched.
     pub fn process_flow(&mut self, packets: &[Packet]) -> Option<FlowRecord> {
+        let mut flow = FlowObserver::new(None);
         for p in packets {
-            self.observe(p);
+            flow.observe(p);
         }
-        // The flow either completed eagerly or is still tracked.
-        if let Some(last) = packets.last() {
-            let key_a = FlowKey::new(last.src, last.dst);
-            let key_b = FlowKey::new(last.dst, last.src);
-            for key in [key_a, key_b] {
-                if let Some(state) = self.flows.remove(&key) {
-                    let fqdn = self.dns_view.get(&key.server.ip).cloned();
-                    return Some(state.finalize(fqdn));
+        let mut rec = flow.finish()?;
+        rec.server_fqdn = self.dns_view.get(&rec.key.server.ip).cloned();
+        Some(rec)
+    }
+}
+
+/// The monitor of a single connection, with no flow table.
+///
+/// The first pure SYN opens the connection and orients it, as [`Monitor`]
+/// orients a SYN; later packets of its 4-tuple update it through the same
+/// per-packet routine, until its RST. Tstat opens flows only on a SYN and
+/// a reset ends one, so packets before the SYN, after the RST, or of
+/// another 4-tuple are ignored.
+pub struct FlowObserver {
+    flow: Option<FlowState>,
+    server_fqdn: Option<String>,
+}
+
+impl FlowObserver {
+    /// Observe one connection; its record carries `server_fqdn`, the DNS
+    /// name the probe saw resolve to the server (`None` where the vantage
+    /// point's DNS traffic does not pass the probe).
+    pub fn new(server_fqdn: Option<String>) -> Self {
+        FlowObserver {
+            flow: None,
+            server_fqdn,
+        }
+    }
+
+    fn observe(&mut self, pkt: &Packet) {
+        match &mut self.flow {
+            None if pkt.flags.syn() && !pkt.flags.ack() => {
+                let mut state = FlowState::new(FlowKey::new(pkt.src, pkt.dst), pkt.ts);
+                state.observe(pkt, true);
+                self.flow = Some(state);
+            }
+            Some(state) if !state.rst => {
+                let key = state.key;
+                let from_client = (pkt.src, pkt.dst) == (key.client, key.server);
+                if from_client || (pkt.src, pkt.dst) == (key.server, key.client) {
+                    state.observe(pkt, from_client);
                 }
             }
+            _ => {}
         }
-        self.done.pop()
+    }
+
+    /// The connection's record, or `None` when no SYN opened one.
+    pub fn finish(self) -> Option<FlowRecord> {
+        let server_fqdn = self.server_fqdn;
+        self.flow.map(|state| state.finalize(server_fqdn))
+    }
+}
+
+impl PacketSink for FlowObserver {
+    fn accept(&mut self, pkt: Packet) {
+        self.observe(&pkt);
     }
 }
 
@@ -661,6 +718,79 @@ mod tests {
         let notify = rec.notify.expect("notify meta");
         assert_eq!(notify.host_int, 777);
         assert_eq!(notify.namespaces, vec![1, 2, 3, 4], "last list wins");
+    }
+
+    #[test]
+    fn rst_ends_the_flow_before_a_late_server_ack() {
+        // A notification fragment aborted 5 ms after its request is
+        // delivered: the client's RST crosses the probe before the
+        // server's ACK of the request, which is outer/2 = 75 ms away.
+        let d = Dialogue::new(vec![Message {
+            dir: Direction::Up,
+            delay: SimDuration::from_millis(10),
+            writes: vec![tcpmodel::Write::marked(
+                350,
+                AppMarker::NotifyRequest {
+                    host: "notify5.dropbox.com".into(),
+                    host_int: 777,
+                    namespaces: vec![1, 2],
+                },
+            )],
+        }])
+        .with_close(CloseMode::ClientRst {
+            delay: SimDuration::from_millis(5),
+        });
+        let mut out = Vec::new();
+        simulate(
+            SimTime::from_secs(5),
+            key(),
+            &d,
+            &path(150),
+            &TcpParams::era_2012_v1(),
+            &mut Rng::new(14),
+            &mut out,
+        );
+        let rst = out.iter().position(|p| p.flags.rst()).expect("client RST");
+        assert!(rst + 1 < out.len(), "a server ACK follows the RST");
+        let mut mon = Monitor::new(true);
+        let rec = mon.process_flow(&out).expect("flow record");
+        assert_eq!(rec.close, FlowClose::Rst);
+        assert_eq!(rec.first_syn, out[0].ts);
+        assert_eq!(rec.last_packet, out[rst].ts);
+        assert_eq!(rec.notify.expect("notify meta").host_int, 777);
+        assert!(mon.drain_completed().is_empty(), "no record left behind");
+    }
+
+    #[test]
+    fn ack_drain_takes_exactly_the_covered_segments() {
+        let mut rng = Rng::new(21);
+        for _ in 0..2_000 {
+            // Ascending seq_end, as new client data queues; half the lists
+            // start just below 2^32 and wrap.
+            let mut seq = if rng.chance(0.5) {
+                u32::MAX - rng.range_u64(0, 150_000) as u32
+            } else {
+                rng.next_u64() as u32
+            };
+            let first = seq.wrapping_add(1);
+            let queued: Vec<(u32, SimTime)> = (0..rng.range_u64(0, RTT_WINDOW as u64))
+                .map(|i| {
+                    seq = seq.wrapping_add(1 + rng.range_u64(0, 3_000) as u32);
+                    (seq, SimTime::from_micros(i))
+                })
+                .collect();
+            // A cumulative ACK behind, inside or past the queue.
+            let ack = first
+                .wrapping_sub(5_000)
+                .wrapping_add(rng.range_u64(0, 200_000) as u32);
+            let (covered, rest): (Vec<_>, Vec<_>) = queued
+                .iter()
+                .partition(|&&(seq_end, _)| seq_le(seq_end, ack));
+            let mut outstanding: VecDeque<_> = queued.iter().copied().collect();
+            let drained: Vec<_> = std::iter::from_fn(|| pop_acked(&mut outstanding, ack)).collect();
+            assert_eq!(drained, covered, "ack {ack} over {queued:?}");
+            assert_eq!(Vec::from(outstanding), rest, "ack {ack} over {queued:?}");
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!    synchronisation burst of Fig. 15(c)), same-LAN members are served by
 //!    the LAN Sync Protocol and generate no WAN traffic (Sec. 5.2),
 //! 4. renders every resulting connection through the `dropbox` protocol
-//!    engine and the `tcpmodel` network onto a `tstat::Monitor`,
+//!    engine and the `tcpmodel` network straight into a single-flow
+//!    `tstat::FlowObserver`,
 //! 5. adds web/API/direct-link usage and the flow-fidelity background
 //!    services.
 //!
@@ -45,7 +46,7 @@ use simcore::{dist, par, Rng, ShardId, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use tcpmodel::{simulate_faulty, TcpParams};
-use tstat::Monitor;
+use tstat::FlowObserver;
 
 /// Ground-truth fault/recovery counters accumulated over a simulated
 /// capture. All zero when the run's [`FaultPlan`] is inactive.
@@ -487,7 +488,7 @@ pub(crate) fn simulate_span_impl(
 /// propagation, rendered device flows, web/API usage, and background
 /// providers. Every random draw descends from the household's own stream
 /// ([`par::household_stream`]) and every piece of mutable state (metadata
-/// plane, chunk store, monitor, ephemeral-port counter, LAN subnet) is
+/// plane, chunk store, ephemeral-port counter, LAN subnet) is
 /// household-local, so households can be grouped into ranges arbitrarily
 /// without any of them observing the cut.
 #[allow(clippy::too_many_arguments)]
@@ -512,79 +513,69 @@ fn simulate_household(
     let hh_rng = par::household_stream(seed, capture, idx as u64);
     let plan_active = faults.is_active();
     let mut fault_stats = FaultStats::default();
-    // Per-household monitor: `play` below observes each flow's DNS name
-    // just before processing the flow, so name→address labelling never
-    // depends on what other households resolved.
-    let mut monitor = Monitor::new(config.expose_dns);
     // Ephemeral client ports count per household (each client churns its
     // own source ports), so flow keys are independent of range grouping.
     let mut port_counter: u32 = 0;
     // Dedicated stream for per-flow link-fault decisions, so fault draws
     // never perturb the schedule/content/render streams.
     let mut link_fault_rng = hh_rng.fork_named("faults");
-    let mut scratch: Vec<nettrace::Packet> = Vec::new();
 
-    let mut play = |spec: &FlowSpec,
-                    at: SimTime,
-                    client_ip: Ipv4,
-                    access: Access,
-                    day: u32,
-                    monitor: &mut Monitor,
-                    rng: &mut Rng,
-                    scratch: &mut Vec<nettrace::Packet>| {
-        let Some(server_ip) = dns.resolve(&spec.server_name) else {
-            return;
-        };
-        monitor.observe_dns(&spec.server_name, server_ip);
-        port_counter = port_counter.wrapping_add(1);
-        let client = Endpoint::new(client_ip, (10_000 + (port_counter % 50_000)) as u16);
-        let server = Endpoint::new(server_ip, spec.port);
-        // Small household-stable spread on top of the base RTT so the
-        // CDFs of Fig. 6 show the narrow band the paper measures.
-        let spread = SimDuration::from_millis((client_ip.0 as u64 * 7) % 6);
-        // The storage/control RTT split of Fig. 6, plus the provider's
-        // datacenter-placement surcharge (zero for Dropbox, whose measured
-        // RTTs *are* the baseline).
-        let placement = &config.protocol.placement;
-        let outer = spread
-            + if config.protocol.is_storage_name(&spec.server_name) {
-                config.storage_rtt + placement.storage_extra()
-            } else {
-                config.control_rtt_on(day) + placement.control_extra()
+    let mut play =
+        |spec: &FlowSpec, at: SimTime, client_ip: Ipv4, access: Access, day: u32, rng: &mut Rng| {
+            let Some(server_ip) = dns.resolve(&spec.server_name) else {
+                return;
             };
-        let path = config.path(access, outer, rng);
-        let tcp = match spec.truth {
-            _ if matches!(spec.truth, FlowTruth::Notification) => TcpParams::era_2012_v1(),
-            _ => match version {
-                ClientVersion::V1_2_52 => TcpParams::era_2012_v1(),
-                ClientVersion::V1_4_0 => TcpParams::era_2012_v14(),
-            },
+            port_counter = port_counter.wrapping_add(1);
+            let client = Endpoint::new(client_ip, (10_000 + (port_counter % 50_000)) as u16);
+            let server = Endpoint::new(server_ip, spec.port);
+            // Small household-stable spread on top of the base RTT so the
+            // CDFs of Fig. 6 show the narrow band the paper measures.
+            let spread = SimDuration::from_millis((client_ip.0 as u64 * 7) % 6);
+            // The storage/control RTT split of Fig. 6, plus the provider's
+            // datacenter-placement surcharge (zero for Dropbox, whose measured
+            // RTTs *are* the baseline).
+            let placement = &config.protocol.placement;
+            let outer = spread
+                + if config.protocol.is_storage_name(&spec.server_name) {
+                    config.storage_rtt + placement.storage_extra()
+                } else {
+                    config.control_rtt_on(day) + placement.control_extra()
+                };
+            let path = config.path(access, outer, rng);
+            let tcp = match spec.truth {
+                _ if matches!(spec.truth, FlowTruth::Notification) => TcpParams::era_2012_v1(),
+                _ => match version {
+                    ClientVersion::V1_2_52 => TcpParams::era_2012_v1(),
+                    ClientVersion::V1_4_0 => TcpParams::era_2012_v14(),
+                },
+            };
+            // Merge the flow's intrinsic faults (e.g. a recovering upload's
+            // scripted reset) with link-level faults drawn from the plan. With
+            // an inactive plan nothing is drawn and `merged` is the spec's own
+            // profile (normally `None`), keeping the fault-free output
+            // byte-identical.
+            let merged = if plan_active {
+                FlowFaults::merged(spec.faults, faults.link_faults(&mut link_fault_rng))
+            } else {
+                spec.faults
+            };
+            // The probe sees the flow's DNS answer just before the flow, so
+            // where DNS passes the probe that name labels the server.
+            let mut flow = FlowObserver::new(config.expose_dns.then(|| spec.server_name.clone()));
+            simulate_faulty(
+                at,
+                FlowKey::new(client, server),
+                &spec.dialogue,
+                &path,
+                &tcp,
+                merged.as_ref(),
+                rng,
+                &mut flow,
+            );
+            if let Some(rec) = flow.finish() {
+                emit(rec, Some(spec.truth.clone()));
+            }
         };
-        // Merge the flow's intrinsic faults (e.g. a recovering upload's
-        // scripted reset) with link-level faults drawn from the plan. With
-        // an inactive plan nothing is drawn and `merged` is the spec's own
-        // profile (normally `None`), keeping the fault-free output
-        // byte-identical.
-        let merged = if plan_active {
-            FlowFaults::merged(spec.faults, faults.link_faults(&mut link_fault_rng))
-        } else {
-            spec.faults
-        };
-        scratch.clear();
-        simulate_faulty(
-            at,
-            FlowKey::new(client, server),
-            &spec.dialogue,
-            &path,
-            &tcp,
-            merged.as_ref(),
-            rng,
-            scratch,
-        );
-        if let Some(rec) = monitor.process_flow(scratch) {
-            emit(rec, Some(spec.truth.clone()));
-        }
-    };
 
     // ---- Dropbox sync planes (client households only) -------------------
     if let Some(behavior) = hh.behavior {
@@ -1116,9 +1107,7 @@ fn simulate_household(
                         hh.ip,
                         hh.access,
                         day,
-                        &mut monitor,
                         &mut dev_rng,
-                        &mut scratch,
                     );
                 }
 
@@ -1140,16 +1129,7 @@ fn simulate_household(
                             md.namespaces_of(dev.host_int),
                             &mut dev_rng,
                         );
-                        play(
-                            &spec,
-                            t,
-                            hh.ip,
-                            hh.access,
-                            day,
-                            &mut monitor,
-                            &mut dev_rng,
-                            &mut scratch,
-                        );
+                        play(&spec, t, hh.ip, hh.access, day, &mut dev_rng);
                         t += period + SimDuration::from_millis(dev_rng.range_u64(0, 2_000));
                         polls += 1;
                     }
@@ -1173,16 +1153,7 @@ fn simulate_household(
                             SessionEnd::NatReset,
                             &mut dev_rng,
                         );
-                        play(
-                            &spec,
-                            t,
-                            hh.ip,
-                            hh.access,
-                            day,
-                            &mut monitor,
-                            &mut dev_rng,
-                            &mut scratch,
-                        );
+                        play(&spec, t, hh.ip, hh.access, day, &mut dev_rng);
                         t += frag + SimDuration::from_millis(200);
                         frags += 1;
                     }
@@ -1197,16 +1168,7 @@ fn simulate_household(
                             SessionEnd::ClientShutdown,
                             &mut dev_rng,
                         );
-                        play(
-                            &spec,
-                            t,
-                            hh.ip,
-                            hh.access,
-                            day,
-                            &mut monitor,
-                            &mut dev_rng,
-                            &mut scratch,
-                        );
+                        play(&spec, t, hh.ip, hh.access, day, &mut dev_rng);
                     }
                 } else if ctrl_active
                     && (!faults.notify_available(session.start)
@@ -1251,16 +1213,7 @@ fn simulate_household(
                                     *end,
                                     &mut dev_rng,
                                 );
-                                play(
-                                    &spec,
-                                    phase.start,
-                                    hh.ip,
-                                    hh.access,
-                                    day,
-                                    &mut monitor,
-                                    &mut dev_rng,
-                                    &mut scratch,
-                                );
+                                play(&spec, phase.start, hh.ip, hh.access, day, &mut dev_rng);
                                 if *end == SessionEnd::Aborted {
                                     fault_stats.notify_aborts += 1;
                                 }
@@ -1273,16 +1226,7 @@ fn simulate_household(
                                     let resp = if faults.meta_available(pt) { 420 } else { 120 };
                                     let spec =
                                         engine.control_flow(false, &[(340, resp)], &mut dev_rng);
-                                    play(
-                                        &spec,
-                                        pt,
-                                        hh.ip,
-                                        hh.access,
-                                        day,
-                                        &mut monitor,
-                                        &mut dev_rng,
-                                        &mut scratch,
-                                    );
+                                    play(&spec, pt, hh.ip, hh.access, day, &mut dev_rng);
                                     fault_stats.fallback_polls += 1;
                                     if let Some(a) = audit.as_deref_mut() {
                                         a.fallback_poll();
@@ -1299,16 +1243,7 @@ fn simulate_household(
                             md.namespaces_of(dev.host_int),
                             &mut dev_rng,
                         );
-                        play(
-                            &spec,
-                            at,
-                            hh.ip,
-                            hh.access,
-                            day,
-                            &mut monitor,
-                            &mut dev_rng,
-                            &mut scratch,
-                        );
+                        play(&spec, at, hh.ip, hh.access, day, &mut dev_rng);
                         fault_stats.reconnect_attempts += 1;
                         if let Some(a) = audit.as_deref_mut() {
                             a.reconnect_attempt(at, dev.host_int.0);
@@ -1344,16 +1279,7 @@ fn simulate_household(
                             SessionEnd::Aborted,
                             &mut dev_rng,
                         );
-                        play(
-                            &spec,
-                            t,
-                            hh.ip,
-                            hh.access,
-                            day,
-                            &mut monitor,
-                            &mut dev_rng,
-                            &mut scratch,
-                        );
+                        play(&spec, t, hh.ip, hh.access, day, &mut dev_rng);
                         fault_stats.notify_aborts += 1;
                         t += frag + policy.backoff(attempt, &mut dev_rng);
                         attempt += 1;
@@ -1369,16 +1295,7 @@ fn simulate_household(
                             SessionEnd::ClientShutdown,
                             &mut dev_rng,
                         );
-                        play(
-                            &spec,
-                            t,
-                            hh.ip,
-                            hh.access,
-                            day,
-                            &mut monitor,
-                            &mut dev_rng,
-                            &mut scratch,
-                        );
+                        play(&spec, t, hh.ip, hh.access, day, &mut dev_rng);
                     }
                 } else {
                     let spec = spec_notification_flow(
@@ -1391,16 +1308,7 @@ fn simulate_household(
                         SessionEnd::ClientShutdown,
                         &mut dev_rng,
                     );
-                    play(
-                        &spec,
-                        session.start,
-                        hh.ip,
-                        hh.access,
-                        day,
-                        &mut monitor,
-                        &mut dev_rng,
-                        &mut scratch,
-                    );
+                    play(&spec, session.start, hh.ip, hh.access, day, &mut dev_rng);
                 }
 
                 // Login synchronisation burst: one transaction per missed
@@ -1424,31 +1332,13 @@ fn simulate_household(
                         fault_stats.sync_retries += u64::from(outcome.retries);
                         fault_stats.aborted_flows += u64::from(outcome.aborted_flows);
                         for (off, spec) in &outcome.flows {
-                            play(
-                                spec,
-                                t_login + *off,
-                                hh.ip,
-                                hh.access,
-                                day,
-                                &mut monitor,
-                                &mut dev_rng,
-                                &mut scratch,
-                            );
+                            play(spec, t_login + *off, hh.ip, hh.access, day, &mut dev_rng);
                         }
                     } else {
                         for spec in
                             engine.download_transaction(batch, day, &mut dev_rng, None, t_login)
                         {
-                            play(
-                                &spec,
-                                t_login,
-                                hh.ip,
-                                hh.access,
-                                day,
-                                &mut monitor,
-                                &mut dev_rng,
-                                &mut scratch,
-                            );
+                            play(&spec, t_login, hh.ip, hh.access, day, &mut dev_rng);
                         }
                     }
                     t_login += SimDuration::from_secs(dev_rng.range_u64(3, 25));
@@ -1463,29 +1353,11 @@ fn simulate_household(
                         // attempt bounces with a 5xx-sized response and is
                         // retried immediately after.
                         let spec = engine.control_flow(false, &[(340, 120)], &mut dev_rng);
-                        play(
-                            &spec,
-                            t,
-                            hh.ip,
-                            hh.access,
-                            day,
-                            &mut monitor,
-                            &mut dev_rng,
-                            &mut scratch,
-                        );
+                        play(&spec, t, hh.ip, hh.access, day, &mut dev_rng);
                         fault_stats.sync_retries += 1;
                     }
                     let spec = engine.control_flow(false, &[(340, 420)], &mut dev_rng);
-                    play(
-                        &spec,
-                        t,
-                        hh.ip,
-                        hh.access,
-                        day,
-                        &mut monitor,
-                        &mut dev_rng,
-                        &mut scratch,
-                    );
+                    play(&spec, t, hh.ip, hh.access, day, &mut dev_rng);
                     t += SimDuration::from_mins(dev_rng.range_u64(25, 50));
                 }
 
@@ -1509,31 +1381,13 @@ fn simulate_household(
                             fault_stats.sync_retries += u64::from(outcome.retries);
                             fault_stats.aborted_flows += u64::from(outcome.aborted_flows);
                             for (off, spec) in &outcome.flows {
-                                play(
-                                    spec,
-                                    *t + *off,
-                                    hh.ip,
-                                    hh.access,
-                                    day,
-                                    &mut monitor,
-                                    &mut dev_rng,
-                                    &mut scratch,
-                                );
+                                play(spec, *t + *off, hh.ip, hh.access, day, &mut dev_rng);
                             }
                         } else {
                             for spec in
                                 engine.upload_transaction(chunks, day, &mut dev_rng, None, *t)
                             {
-                                play(
-                                    &spec,
-                                    *t,
-                                    hh.ip,
-                                    hh.access,
-                                    day,
-                                    &mut monitor,
-                                    &mut dev_rng,
-                                    &mut scratch,
-                                );
+                                play(&spec, *t, hh.ip, hh.access, day, &mut dev_rng);
                             }
                         }
                     }
@@ -1554,31 +1408,13 @@ fn simulate_household(
                             fault_stats.sync_retries += u64::from(outcome.retries);
                             fault_stats.aborted_flows += u64::from(outcome.aborted_flows);
                             for (off, spec) in &outcome.flows {
-                                play(
-                                    spec,
-                                    *t + *off,
-                                    hh.ip,
-                                    hh.access,
-                                    day,
-                                    &mut monitor,
-                                    &mut dev_rng,
-                                    &mut scratch,
-                                );
+                                play(spec, *t + *off, hh.ip, hh.access, day, &mut dev_rng);
                             }
                         } else {
                             for spec in
                                 engine.download_transaction(chunks, day, &mut dev_rng, None, *t)
                             {
-                                play(
-                                    &spec,
-                                    *t,
-                                    hh.ip,
-                                    hh.access,
-                                    day,
-                                    &mut monitor,
-                                    &mut dev_rng,
-                                    &mut scratch,
-                                );
+                                play(&spec, *t, hh.ip, hh.access, day, &mut dev_rng);
                             }
                         }
                     }
@@ -1593,9 +1429,7 @@ fn simulate_household(
                         hh.ip,
                         hh.access,
                         day,
-                        &mut monitor,
                         &mut dev_rng,
-                        &mut scratch,
                     );
                 }
 
@@ -1608,9 +1442,7 @@ fn simulate_household(
                         hh.ip,
                         hh.access,
                         day,
-                        &mut monitor,
                         &mut dev_rng,
-                        &mut scratch,
                     );
                 }
 
@@ -1633,16 +1465,7 @@ fn simulate_household(
                             raw_bytes: 4 * 1024 * 1024,
                         };
                         let spec = engine.store_flow(&[chunk], day, &mut dev_rng, None, t);
-                        play(
-                            &spec,
-                            t,
-                            hh.ip,
-                            hh.access,
-                            day,
-                            &mut monitor,
-                            &mut dev_rng,
-                            &mut scratch,
-                        );
+                        play(&spec, t, hh.ip, hh.access, day, &mut dev_rng);
                         t += SimDuration::from_secs(dev_rng.range_u64(1_100, 1_900));
                     }
                 }
@@ -1669,45 +1492,18 @@ fn simulate_household(
             if web_rng.chance(0.06) {
                 let t = at(&mut web_rng);
                 for spec in web_session_flows(&mut web_rng) {
-                    play(
-                        &spec,
-                        t,
-                        hh.ip,
-                        hh.access,
-                        day,
-                        &mut monitor,
-                        &mut web_rng.clone(),
-                        &mut scratch,
-                    );
+                    play(&spec, t, hh.ip, hh.access, day, &mut web_rng.clone());
                 }
             }
             if web_rng.chance(0.55) {
                 let t = at(&mut web_rng);
                 let spec = direct_link_flow(&mut web_rng);
-                play(
-                    &spec,
-                    t,
-                    hh.ip,
-                    hh.access,
-                    day,
-                    &mut monitor,
-                    &mut web_rng.clone(),
-                    &mut scratch,
-                );
+                play(&spec, t, hh.ip, hh.access, day, &mut web_rng.clone());
             }
             if hh.behavior.is_some() && web_rng.chance(0.08) {
                 let t = at(&mut web_rng);
                 for spec in api_session_flows(&mut web_rng) {
-                    play(
-                        &spec,
-                        t,
-                        hh.ip,
-                        hh.access,
-                        day,
-                        &mut monitor,
-                        &mut web_rng.clone(),
-                        &mut scratch,
-                    );
+                    play(&spec, t, hh.ip, hh.access, day, &mut web_rng.clone());
                 }
             }
         }
@@ -1860,15 +1656,28 @@ mod tests {
 
     #[test]
     fn notification_flows_carry_device_ids() {
-        let out = small_sim(VantageKind::Home1);
-        let notify: Vec<_> = out
-            .dataset
-            .flows
-            .iter()
-            .filter(|f| dropbox_role(f) == Some(DropboxRole::NotifyControl))
-            .collect();
-        assert!(!notify.is_empty());
-        assert!(notify.iter().all(|f| f.notify.is_some()));
+        // The lossy Campus 1 capture of the fault ablation aborts
+        // notification fragments: each RST must close the record that
+        // carries the request, not leave it behind for a late server ACK.
+        let mut campus = VantageConfig::paper(VantageKind::Campus1, 0.02);
+        campus.days = 7;
+        let lossy = simulate_vantage(
+            &campus,
+            ClientVersion::V1_2_52,
+            42,
+            &FaultPlan::lossy(7, campus.days),
+        );
+        assert!(lossy.fault_stats.notify_aborts > 0);
+        for out in [small_sim(VantageKind::Home1), lossy] {
+            let notify: Vec<_> = out
+                .dataset
+                .flows
+                .iter()
+                .filter(|f| dropbox_role(f) == Some(DropboxRole::NotifyControl))
+                .collect();
+            assert!(!notify.is_empty());
+            assert!(notify.iter().all(|f| f.notify.is_some()));
+        }
     }
 
     #[test]

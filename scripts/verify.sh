@@ -45,6 +45,13 @@ fi
 cargo build --release --offline
 cargo test -q --offline
 
+# The repository benchmark (.perfbench) is a workspace of its own whose
+# traced run calls the workspace crates' public API: compile and test it
+# here, so an API change that breaks it fails this gate instead of the
+# benchmark run.
+cargo test --offline --manifest-path .perfbench/Cargo.toml
+cargo check --offline --manifest-path .perfbench/Cargo.toml --benches
+
 # Rustdoc is part of tier-1: crate docs must build warning-clean.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
