@@ -61,39 +61,44 @@ impl Provider {
     }
 }
 
-/// Attribute a server name to a provider (suffix matching on the names the
-/// services used in 2012).
+/// The names the services used in 2012, in matching order.
+const SUFFIXES: [(&str, Provider); 15] = [
+    ("dropbox.com", Provider::Dropbox),
+    ("icloud.com", Provider::ICloud),
+    ("me.com", Provider::ICloud),
+    ("livefilestore.com", Provider::SkyDrive),
+    ("skydrive.live.com", Provider::SkyDrive),
+    ("storage.live.com", Provider::SkyDrive),
+    ("drive.google.com", Provider::GoogleDrive),
+    ("docs.google.com", Provider::GoogleDrive),
+    ("clients6.google.com", Provider::GoogleDrive),
+    ("sugarsync.com", Provider::OtherCloud),
+    ("box.com", Provider::OtherCloud),
+    ("one.ubuntu.com", Provider::OtherCloud),
+    ("youtube.com", Provider::YouTube),
+    ("googlevideo.com", Provider::YouTube),
+    ("ytimg.com", Provider::YouTube),
+];
+
+/// Attribute a server name to a provider: the first suffix it equals or
+/// ends with after a dot. Runs per record, so it must not allocate.
 pub fn provider_of_name(name: &str) -> Provider {
-    let has = |s: &str| name == s || name.ends_with(&format!(".{s}"));
-    if has("dropbox.com") {
-        Provider::Dropbox
-    } else if has("icloud.com") || has("me.com") {
-        Provider::ICloud
-    } else if has("livefilestore.com") || has("skydrive.live.com") || has("storage.live.com") {
-        Provider::SkyDrive
-    } else if has("drive.google.com") || has("docs.google.com") || has("clients6.google.com") {
-        Provider::GoogleDrive
-    } else if has("sugarsync.com") || has("box.com") || has("one.ubuntu.com") {
-        Provider::OtherCloud
-    } else if has("youtube.com") || has("googlevideo.com") || has("ytimg.com") {
-        Provider::YouTube
-    } else {
-        Provider::Unknown
-    }
+    SUFFIXES
+        .iter()
+        .find(|(s, _)| {
+            name.strip_suffix(s)
+                .is_some_and(|rest| rest.is_empty() || rest.ends_with('.'))
+        })
+        .map_or(Provider::Unknown, |&(_, p)| p)
 }
 
 /// Attribute a flow to a provider using the best available name
-/// (FQDN → SNI → certificate CN → HTTP host), as Sec. 3.1 describes.
+/// (FQDN → SNI → certificate CN → HTTP host), as Sec. 3.1 describes. A
+/// wildcard certificate CN (`*.dropbox.com`) needs no special case: its
+/// `*.` label ends with a dot like any other.
 pub fn provider_of(flow: &FlowRecord) -> Provider {
-    match flow.server_name() {
-        Some(name) => {
-            // The certificate CN `*.dropbox.com` also matches the suffix
-            // rule once the wildcard label is dropped.
-            let name = name.strip_prefix("*.").unwrap_or(name);
-            provider_of_name(name)
-        }
-        None => Provider::Unknown,
-    }
+    flow.server_name()
+        .map_or(Provider::Unknown, provider_of_name)
 }
 
 /// Dropbox server-role groups as presented in Fig. 4.
@@ -147,27 +152,21 @@ impl DropboxRole {
 
 /// Role of a Dropbox flow, or `None` when the flow is not Dropbox.
 pub fn dropbox_role(flow: &FlowRecord) -> Option<DropboxRole> {
-    if provider_of(flow) != Provider::Dropbox {
-        return None;
-    }
-    let name = flow.server_name()?;
+    let name = flow
+        .server_name()
+        .filter(|&n| provider_of_name(n) == Provider::Dropbox)?;
     let host = name.strip_suffix(".dropbox.com").unwrap_or(name);
-    Some(if host.starts_with("dl-client") {
-        DropboxRole::ClientStorage
-    } else if host == "dl" || host == "dl-web" {
-        DropboxRole::WebStorage
-    } else if host == "api-content" {
-        DropboxRole::ApiStorage
-    } else if host == "client-lb" || (host.starts_with("client") && !host.contains('-')) {
-        DropboxRole::ClientControl
-    } else if host.starts_with("notify") {
-        DropboxRole::NotifyControl
-    } else if host == "www" {
-        DropboxRole::WebControl
-    } else if host == "d" || host.starts_with("dl-debug") {
-        DropboxRole::SystemLog
-    } else {
-        DropboxRole::Others
+    Some(match host {
+        h if h.starts_with("dl-client") => DropboxRole::ClientStorage,
+        "dl" | "dl-web" => DropboxRole::WebStorage,
+        "api-content" => DropboxRole::ApiStorage,
+        "client-lb" => DropboxRole::ClientControl,
+        h if h.starts_with("client") && !h.contains('-') => DropboxRole::ClientControl,
+        h if h.starts_with("notify") => DropboxRole::NotifyControl,
+        "www" => DropboxRole::WebControl,
+        "d" => DropboxRole::SystemLog,
+        h if h.starts_with("dl-debug") => DropboxRole::SystemLog,
+        _ => DropboxRole::Others,
     })
 }
 
@@ -226,6 +225,7 @@ mod tests {
     use nettrace::flow::{DirStats, FlowClose};
     use nettrace::{Endpoint, FlowKey, Ipv4};
     use simcore::SimTime;
+    use std::collections::BTreeSet;
 
     fn flow(name: &str, up: u64, down: u64) -> FlowRecord {
         FlowRecord {
@@ -272,6 +272,169 @@ mod tests {
         assert_eq!(provider_of_name("example.org"), Provider::Unknown);
         // No substring tricks: "dropbox.com.evil.org" must not match.
         assert_eq!(provider_of_name("dropbox.com.evil.org"), Provider::Unknown);
+        // A suffix glued on without a dot is a different domain.
+        assert_eq!(provider_of_name("xdropbox.com"), Provider::Unknown);
+        assert_eq!(provider_of_name("mybox.com"), Provider::Unknown);
+        assert_eq!(provider_of_name("home.com"), Provider::Unknown);
+        assert_eq!(provider_of_name(""), Provider::Unknown);
+    }
+
+    /// The matcher as first written, with one `format!` per suffix tried:
+    /// the reference the suffix table must agree with.
+    fn reference_provider_of_name(name: &str) -> Provider {
+        let has = |s: &str| name == s || name.ends_with(&format!(".{s}"));
+        if has("dropbox.com") {
+            Provider::Dropbox
+        } else if has("icloud.com") || has("me.com") {
+            Provider::ICloud
+        } else if has("livefilestore.com") || has("skydrive.live.com") || has("storage.live.com") {
+            Provider::SkyDrive
+        } else if has("drive.google.com") || has("docs.google.com") || has("clients6.google.com") {
+            Provider::GoogleDrive
+        } else if has("sugarsync.com") || has("box.com") || has("one.ubuntu.com") {
+            Provider::OtherCloud
+        } else if has("youtube.com") || has("googlevideo.com") || has("ytimg.com") {
+            Provider::YouTube
+        } else {
+            Provider::Unknown
+        }
+    }
+
+    /// `provider_of` as first written: the wildcard label is dropped
+    /// before matching.
+    fn reference_provider_of(flow: &FlowRecord) -> Provider {
+        match flow.server_name() {
+            Some(name) => reference_provider_of_name(name.strip_prefix("*.").unwrap_or(name)),
+            None => Provider::Unknown,
+        }
+    }
+
+    /// `dropbox_role` as first written, as an `if` chain.
+    fn reference_dropbox_role(flow: &FlowRecord) -> Option<DropboxRole> {
+        if reference_provider_of(flow) != Provider::Dropbox {
+            return None;
+        }
+        let name = flow.server_name()?;
+        let host = name.strip_suffix(".dropbox.com").unwrap_or(name);
+        Some(if host.starts_with("dl-client") {
+            DropboxRole::ClientStorage
+        } else if host == "dl" || host == "dl-web" {
+            DropboxRole::WebStorage
+        } else if host == "api-content" {
+            DropboxRole::ApiStorage
+        } else if host == "client-lb" || (host.starts_with("client") && !host.contains('-')) {
+            DropboxRole::ClientControl
+        } else if host.starts_with("notify") {
+            DropboxRole::NotifyControl
+        } else if host == "www" {
+            DropboxRole::WebControl
+        } else if host == "d" || host.starts_with("dl-debug") {
+            DropboxRole::SystemLog
+        } else {
+            DropboxRole::Others
+        })
+    }
+
+    /// A random label: often a role prefix or the tail of a table suffix
+    /// (`box`, `me`, `live`), so glued and nested names hit the boundaries.
+    fn label(rng: &mut simcore::Rng) -> String {
+        const TRICKY: [&str; 18] = [
+            "box",
+            "me",
+            "ho",
+            "live",
+            "google",
+            "com",
+            "x",
+            "*",
+            "dl-client",
+            "dl",
+            "dl-web",
+            "api-content",
+            "client-lb",
+            "client",
+            "notify",
+            "www",
+            "dl-debug",
+            "d",
+        ];
+        let mut l = match rng.below(3) {
+            0 => String::new(),
+            _ => (*rng.pick(&TRICKY)).to_owned(),
+        };
+        if l.is_empty() || rng.chance(0.3) {
+            let alphabet = b"abcdefghijklmnopqrstuvwxyz0123456789-";
+            for _ in 0..rng.range_u64(1, 4) {
+                l.push(*rng.pick(alphabet) as char);
+            }
+        }
+        l
+    }
+
+    /// A name around one of the table's suffixes (half of them Dropbox's):
+    /// bare, behind 1–3 labels, glued on without a dot or behind a leading
+    /// dot, optionally followed by a trailing label; sometimes the empty
+    /// string.
+    fn name_near_a_suffix(rng: &mut simcore::Rng) -> String {
+        if rng.chance(0.02) {
+            return String::new();
+        }
+        let mut name = match rng.below(5) {
+            0 => String::new(),
+            1 | 2 => {
+                let n = if rng.chance(0.5) {
+                    1
+                } else {
+                    rng.range_u64(2, 4)
+                };
+                (0..n).map(|_| label(rng) + ".").collect()
+            }
+            3 => label(rng),
+            _ => ".".to_owned(),
+        };
+        let suffix = if rng.chance(0.5) {
+            "dropbox.com"
+        } else {
+            rng.pick(&SUFFIXES).0
+        };
+        name.push_str(suffix);
+        if rng.chance(0.2) {
+            name.push('.');
+            name.push_str(&label(rng));
+        }
+        name
+    }
+
+    simcore::proptest! {
+        #![cases(4096)]
+
+        #[test]
+        fn suffix_table_agrees_with_reference(
+            name in simcore::proptest::from_fn(name_near_a_suffix)
+        ) {
+            simcore::prop_assert_eq!(provider_of_name(&name), reference_provider_of_name(&name));
+            let sni = flow(&name, 1, 1);
+            simcore::prop_assert_eq!(provider_of(&sni), reference_provider_of(&sni));
+            simcore::prop_assert_eq!(dropbox_role(&sni), reference_dropbox_role(&sni));
+            let mut cert = flow("x", 1, 1);
+            cert.tls_sni = None;
+            cert.tls_certificate_cn = Some(format!("*.{name}"));
+            simcore::prop_assert_eq!(provider_of(&cert), reference_provider_of(&cert));
+            simcore::prop_assert_eq!(dropbox_role(&cert), reference_dropbox_role(&cert));
+        }
+    }
+
+    #[test]
+    fn generated_names_reach_every_provider_and_role() {
+        let root = simcore::Rng::new(7);
+        let (mut providers, mut roles) = (BTreeSet::new(), BTreeSet::new());
+        for i in 0..4096 {
+            let name = name_near_a_suffix(&mut root.fork(i));
+            providers.insert(provider_of_name(&name));
+            roles.extend(dropbox_role(&flow(&name, 1, 1)));
+        }
+        assert_eq!(providers.len(), 7, "{providers:?}");
+        assert_eq!(roles.len(), DropboxRole::ALL.len(), "{roles:?}");
     }
 
     #[test]

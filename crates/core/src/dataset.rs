@@ -233,10 +233,7 @@ impl Accumulate for RoleBreakdownAcc {
     type Output = BTreeMap<&'static str, RoleShare>;
 
     fn observe(&mut self, f: &FlowRecord) {
-        if provider_of(f) != Provider::Dropbox {
-            return;
-        }
-        let role = dropbox_role(f).expect("dropbox flow has a role");
+        let Some(role) = dropbox_role(f) else { return };
         *self.bytes.entry(role).or_default() += f.total_bytes();
         *self.flows.entry(role).or_default() += 1;
         self.total_bytes += f.total_bytes();

@@ -42,6 +42,7 @@ use nettrace::{FlowRecord, Ipv4};
 use simcore::stats::{LogBins, OrderlessSum};
 use simcore::SimDuration;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::mem::size_of;
 use workload::shard::RECAPTURE_SEED_TAG;
 use workload::{CaptureShard, FaultStats, SimOutput, SpanFold, VantageKind, VantageStats};
@@ -355,10 +356,11 @@ impl Accumulate for Fig9Acc {
         if x > self.theta.theta_bps(bytes) {
             t.above_theta += 1;
         }
-        t.rows.push_str(&format!(
-            "{tag:?},{bytes},{x:.0},{c},{}\n",
+        let _ = writeln!(
+            t.rows,
+            "{tag:?},{bytes},{x:.0},{c},{}",
             ChunkGroup::of(c).label()
-        ));
+        );
     }
 
     fn merge(&mut self, later: Self) {
@@ -510,7 +512,7 @@ impl Accumulate for Fig20Acc {
             StorageTag::Store => self.out.store += 1,
             StorageTag::Retrieve => self.out.retrieve += 1,
         }
-        self.out.rows.push_str(&format!("{u},{d},{tag:?}\n"));
+        let _ = writeln!(self.out.rows, "{u},{d},{tag:?}");
     }
 
     fn merge(&mut self, later: Self) {
