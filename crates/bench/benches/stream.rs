@@ -1,8 +1,9 @@
-//! Streaming-summary benchmark: simulates the paper capture, then
-//! measures the single-pass [`experiments::CaptureSummary`] — records/sec
-//! through the pipeline and the end-of-pass accumulator state (the peak:
-//! accumulator state only grows during a pass) — and writes
-//! `BENCH_stream.json`.
+//! Streaming-summary benchmark: simulates the paper capture on one job,
+//! then measures the single-pass [`experiments::CaptureSummary`] —
+//! records/sec through the pipeline and the end-of-pass accumulator state
+//! (the peak: accumulator state only grows during a pass) — and writes
+//! `BENCH_stream.json`. One job makes `capture_seconds` the one-core
+//! capture time on any host.
 //!
 //! Knobs: `BENCH_STREAM_SCALES` (comma-separated population scales,
 //! default `0.1,1.0`).
@@ -19,7 +20,7 @@ fn main() {
         .map(|s| s.trim().parse().expect("scale"))
         .collect();
     let seed = 2012u64;
-    let jobs = simcore::par::available_jobs();
+    let jobs = 1;
 
     let mut rows: Vec<Json> = Vec::new();
     println!(

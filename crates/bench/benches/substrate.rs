@@ -7,7 +7,7 @@ use dropbox::storage::ChunkStore;
 use nettrace::{Endpoint, FlowKey, Ipv4};
 use simcore::{Rng, SimDuration, SimTime};
 use tcpmodel::{simulate, tls, Dialogue, Direction, Message, PathParams, TcpParams};
-use tstat::Monitor;
+use tstat::{FlowObserver, Monitor};
 
 fn bench_sha256(c: &mut Harness) {
     let data = vec![0xabu8; 1 << 20];
@@ -92,6 +92,71 @@ fn path() -> PathParams {
         up_rate: None,
         down_rate: None,
     }
+}
+
+fn retrieve_dialogue(chunks: u64, bytes: u32) -> Dialogue {
+    let mut m = tls::handshake(
+        "dl-client1.dropbox.com",
+        "*.dropbox.com",
+        SimDuration::from_millis(60),
+    );
+    for _ in 0..chunks {
+        m.push(Message::simple(
+            Direction::Up,
+            SimDuration::from_millis(30),
+            409,
+        ));
+        m.push(Message::simple(
+            Direction::Down,
+            SimDuration::from_millis(90),
+            bytes,
+        ));
+    }
+    Dialogue::new(m)
+}
+
+/// The driver's path: each flow simulated straight into a single-flow
+/// monitor, which folds bursts and ACK trains as runs. The `tcpmodel`
+/// (`Vec` sink) and `tstat` (`process_flow`) groups time the packet-by-
+/// packet reference path.
+fn bench_capture(c: &mut Harness) {
+    let mut g = c.group("capture");
+    for (name, d) in [
+        ("store_10x100kB", store_dialogue(10, 100_000)),
+        ("retrieve_10x1MB", retrieve_dialogue(10, 1_000_000)),
+    ] {
+        let mut out = Vec::new();
+        simulate(
+            SimTime::from_secs(1),
+            key(),
+            &d,
+            &path(),
+            &TcpParams::era_2012_v1(),
+            &mut Rng::new(7),
+            &mut out,
+        );
+        g.throughput(Throughput::Elements(out.len() as u64));
+        g.bench_function(name, |b| {
+            b.iter_batched(
+                || Rng::new(7),
+                |mut rng| {
+                    let mut flow = FlowObserver::new(None);
+                    simulate(
+                        SimTime::from_secs(1),
+                        key(),
+                        &d,
+                        &path(),
+                        &TcpParams::era_2012_v1(),
+                        &mut rng,
+                        &mut flow,
+                    );
+                    flow.finish()
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    g.finish();
 }
 
 fn bench_tcp_simulate(c: &mut Harness) {
@@ -202,6 +267,7 @@ fn main() {
     bench_delta(&mut c);
     bench_tcp_simulate(&mut c);
     bench_monitor(&mut c);
+    bench_capture(&mut c);
     bench_sync_engine(&mut c);
     bench_classification(&mut c);
     c.finish().expect("write benchmark results");

@@ -18,8 +18,8 @@
 //! * [`flow`] — the Tstat-style per-flow record ([`flow::FlowRecord`]) that
 //!   the monitor exports and the analysis layer consumes,
 //! * [`sink`] — the streaming seams: [`sink::PacketSink`], which packets
-//!   cross in probe order (TCP model → monitor) without a per-flow
-//!   packet vector, and [`sink::FlowSink`], which completed records flow
+//!   cross in probe order (TCP model → monitor), a run of segments at a
+//!   time, without a per-flow packet vector, and [`sink::FlowSink`], which completed records flow
 //!   through (monitor → analysis/serialisation) without whole-capture
 //!   materialisation, and
 //! * [`flowlog`] — its JSON-lines serialisation with anonymisation,
@@ -39,5 +39,5 @@ pub mod sink;
 
 pub use endpoint::{Endpoint, FlowKey, Ipv4};
 pub use flow::FlowRecord;
-pub use packet::{AppMarker, Packet, TcpFlags};
+pub use packet::{AppMarker, Packet, PacketRun, Spacing, TcpFlags};
 pub use sink::{FlowSink, PacketSink};

@@ -2,7 +2,7 @@
 
 use crate::endpoint::Endpoint;
 use simcore::json::{FromJson, Json, JsonError, ToJson};
-use simcore::SimTime;
+use simcore::{SimDuration, SimTime};
 use std::fmt;
 
 /// TCP header flags (the subset the monitor cares about).
@@ -242,6 +242,175 @@ impl Packet {
     }
 }
 
+/// How the probe timestamps of a train of packets are spaced, as offsets
+/// from the timestamp of the train's packet 0.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Spacing {
+    /// A burst of `of` segments spread over a serialisation time `span`:
+    /// packet `i` at `span · (i / of)`, rounded to the microsecond.
+    Spread {
+        /// Serialisation time of the whole burst.
+        span: SimDuration,
+        /// Segments in the whole burst.
+        of: u32,
+    },
+    /// Packet `i` at `step · i` (a train of delayed ACKs).
+    Every(SimDuration),
+}
+
+impl Spacing {
+    /// Offset of the train's packet `i` from its packet 0; never
+    /// decreases in `i`. The one place the spacing rule is evaluated.
+    #[inline]
+    pub fn offset(self, i: u32) -> SimDuration {
+        match self {
+            Spacing::Spread { span, of } if of > 1 && !span.is_zero() => {
+                span.mul_f64(i as f64 / of as f64)
+            }
+            Spacing::Spread { .. } => SimDuration::ZERO,
+            Spacing::Every(step) => step * u64::from(i),
+        }
+    }
+}
+
+/// `count` packets of one direction that differ only in sequence number
+/// and probe timestamp: the `k`-th is the first packet with sequence
+/// number `seq + k · seq_step`, at the timestamp of packet `index + k` of
+/// the train the run was cut from.
+///
+/// A run's timestamps never decrease, so it can be split at any
+/// timestamp by binary search. Every consumer reads a timestamp through
+/// [`PacketRun::ts`], which evaluates [`Spacing::offset`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct PacketRun {
+    first: Packet,
+    count: u32,
+    seq_step: u32,
+    /// Index in the train of the run's first packet.
+    index: u32,
+    spacing: Spacing,
+}
+
+impl PacketRun {
+    /// Packets `index..index + count` of the train whose packet 0 crosses
+    /// the probe at `origin`, with `spacing`, shaped like `template` (its
+    /// timestamp is ignored).
+    #[inline]
+    pub fn new(
+        template: Packet,
+        count: u32,
+        seq_step: u32,
+        origin: SimTime,
+        index: u32,
+        spacing: Spacing,
+    ) -> Self {
+        assert!(count > 0, "empty packet run");
+        PacketRun {
+            first: Packet {
+                ts: origin + spacing.offset(index),
+                ..template
+            },
+            count,
+            seq_step,
+            index,
+            spacing,
+        }
+    }
+
+    /// The run's first packet.
+    #[inline]
+    pub fn first(&self) -> &Packet {
+        &self.first
+    }
+
+    /// Number of packets, at least one.
+    #[inline]
+    pub fn count(&self) -> u32 {
+        self.count
+    }
+
+    /// Sequence-number advance from one packet to the next.
+    #[inline]
+    pub fn seq_step(&self) -> u32 {
+        self.seq_step
+    }
+
+    /// Probe timestamp of the `k`-th packet: the first packet's, moved
+    /// from train index `index` to `index + k`.
+    #[inline]
+    pub fn ts(&self, k: u32) -> SimTime {
+        if k == 0 {
+            return self.first.ts;
+        }
+        let origin = self.first.ts - self.spacing.offset(self.index);
+        origin + self.spacing.offset(self.index + k)
+    }
+
+    /// Probe timestamp of the last packet, the run's latest.
+    #[inline]
+    pub fn last_ts(&self) -> SimTime {
+        self.ts(self.count - 1)
+    }
+
+    /// Sequence number of the `k`-th packet.
+    #[inline]
+    pub fn seq(&self, k: u32) -> u32 {
+        self.first.seq.wrapping_add(self.seq_step.wrapping_mul(k))
+    }
+
+    /// The `k`-th packet.
+    pub fn packet(&self, k: u32) -> Packet {
+        Packet {
+            ts: self.ts(k),
+            seq: self.seq(k),
+            ..self.first.clone()
+        }
+    }
+
+    /// The last packet, made from the run's own first one.
+    pub fn into_last(self) -> Packet {
+        let (ts, seq) = (self.last_ts(), self.seq(self.count - 1));
+        Packet {
+            ts,
+            seq,
+            ..self.first
+        }
+    }
+
+    /// How many leading packets have a timestamp for which `pred` holds;
+    /// `pred` must hold for a prefix of the (non-decreasing) timestamps.
+    pub fn count_while(&self, pred: impl Fn(SimTime) -> bool) -> u32 {
+        let (mut lo, mut hi) = (0, self.count);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.ts(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Keep packets `0..k` and return packets `k..` as a run of their own;
+    /// `0 < k < count`.
+    pub fn split_off(&mut self, k: u32) -> PacketRun {
+        assert!(0 < k && k < self.count, "split at {k} of {}", self.count);
+        let rest = PacketRun {
+            first: Packet {
+                ts: self.ts(k),
+                seq: self.seq(k),
+                ..self.first.clone()
+            },
+            count: self.count - k,
+            index: self.index + k,
+            ..*self
+        };
+        self.count = k;
+        rest
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,6 +441,95 @@ mod tests {
     fn wire_len_includes_headers() {
         assert_eq!(pkt(TcpFlags::ACK, 0).wire_len(), 54);
         assert_eq!(pkt(TcpFlags::ACK, 1460).wire_len(), 1514);
+    }
+
+    fn expand(run: &PacketRun) -> Vec<Packet> {
+        (0..run.count()).map(|k| run.packet(k)).collect()
+    }
+
+    fn runs() -> Vec<PacketRun> {
+        let spacings = [
+            Spacing::Spread {
+                span: SimDuration::from_micros(7_777),
+                of: 45,
+            },
+            Spacing::Spread {
+                span: SimDuration::ZERO,
+                of: 45,
+            },
+            Spacing::Every(SimDuration::from_micros(50)),
+        ];
+        spacings
+            .iter()
+            .map(|&spacing| {
+                PacketRun::new(
+                    Packet {
+                        seq: u32::MAX - 3_000,
+                        ..pkt(TcpFlags::ACK, 1430)
+                    },
+                    30,
+                    1430,
+                    SimTime::from_secs(9),
+                    6,
+                    spacing,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn run_packets_follow_the_spacing_rule() {
+        for run in runs() {
+            let packets = expand(&run);
+            assert_eq!(&packets[0], run.first());
+            for (k, p) in packets.iter().enumerate() {
+                let i = 6 + k as u64;
+                let offset = match run.spacing {
+                    Spacing::Spread { span, of } if !span.is_zero() => {
+                        span.mul_f64(i as f64 / f64::from(of))
+                    }
+                    Spacing::Spread { .. } => SimDuration::ZERO,
+                    Spacing::Every(step) => SimDuration::from_micros(step.micros() * i),
+                };
+                assert_eq!(p.ts, SimTime::from_secs(9) + offset);
+                assert_eq!(p.seq, (u32::MAX - 3_000).wrapping_add(1430 * k as u32));
+                assert_eq!(p.payload_len, 1430);
+            }
+            assert!(packets.windows(2).all(|w| w[0].ts <= w[1].ts));
+            assert_eq!(run.last_ts(), packets.last().unwrap().ts);
+            assert_eq!(&run.clone().into_last(), packets.last().unwrap());
+        }
+        let one = PacketRun::new(
+            pkt(TcpFlags::SYN, 0),
+            1,
+            0,
+            SimTime::EPOCH,
+            3,
+            Spacing::Every(SimDuration::ZERO),
+        );
+        assert_eq!(expand(&one), vec![pkt(TcpFlags::SYN, 0)]);
+    }
+
+    #[test]
+    fn split_runs_expand_to_the_whole() {
+        for run in runs() {
+            let whole = expand(&run);
+            for k in 1..run.count() {
+                let mut head = run.clone();
+                let tail = head.split_off(k);
+                assert_eq!((head.count(), tail.count()), (k, run.count() - k));
+                assert_eq!(head.last_ts(), whole[k as usize - 1].ts);
+                assert_eq!(tail.last_ts(), run.last_ts());
+                let mut parts = expand(&head);
+                parts.extend(expand(&tail));
+                assert_eq!(parts, whole, "split at {k}");
+            }
+            for p in &whole {
+                let at = |t: SimTime| t <= p.ts;
+                let linear = whole.iter().take_while(|q| at(q.ts)).count();
+                assert_eq!(run.count_while(at) as usize, linear);
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! The two streaming seams of the pipeline.
 //!
-//! A [`PacketSink`] consumes packets one at a time as they cross the
-//! probe, in probe-timestamp order: `tcpmodel` emits a connection into
-//! one, and `tstat::FlowObserver` is one, so a flow is measured without
-//! its packets ever being collected. The `Vec<Packet>` sink keeps the
-//! trace for pcap export, examples and tests.
+//! A [`PacketSink`] consumes packets as they cross the probe, in
+//! probe-timestamp order: `tcpmodel` emits a connection into one, and
+//! `tstat::FlowObserver` is one, so a flow is measured without its
+//! packets ever being collected. Packets cross in [`PacketRun`]s: a burst
+//! of plain segments or a train of delayed ACKs is one run, every other
+//! packet a run of one. A sink that does not fold runs whole receives
+//! them packet by packet; the `Vec<Packet>` sink does, and keeps the trace
+//! for pcap export, examples and tests.
 //!
 //! A [`FlowSink`] consumes completed [`FlowRecord`]s one at a time, in
 //! the order the monitor finalises them: `tstat::Monitor` drains finished
@@ -13,17 +16,26 @@
 //!
 //! Determinism contract: a sink observes its items in a single canonical
 //! order (probe order for packets, the monitor's finalisation order for
-//! records). Producers never reorder, batch or drop items on the way into
-//! a sink, so feeding the same capture through any sink is
-//! byte-reproducible.
+//! records). Producers never reorder or drop items on the way into a
+//! sink, and a run expands to exactly the packets it stands for, so
+//! feeding the same capture through any sink is byte-reproducible.
 
 use crate::flow::FlowRecord;
-use crate::packet::Packet;
+use crate::packet::{Packet, PacketRun};
 
 /// A consumer of the packets crossing the probe.
 pub trait PacketSink {
     /// Accept the next packet; timestamps never decrease between calls.
     fn accept(&mut self, pkt: Packet);
+
+    /// Accept the next run of packets, by default packet by packet. An
+    /// override must fold the run exactly as those calls would.
+    fn accept_run(&mut self, run: PacketRun) {
+        for k in 0..run.count() - 1 {
+            self.accept(run.packet(k));
+        }
+        self.accept(run.into_last());
+    }
 }
 
 /// The materialising sink: keep the trace.
@@ -75,6 +87,35 @@ mod tests {
             close: FlowClose::Fin,
             aborted: false,
         }
+    }
+
+    #[test]
+    fn vec_sink_receives_a_run_packet_by_packet() {
+        use crate::packet::{PacketRun, Spacing, TcpFlags};
+        use simcore::SimDuration;
+        let template = Packet {
+            ts: SimTime::EPOCH,
+            src: Endpoint::new(Ipv4::new(10, 0, 0, 1), 4_000),
+            dst: Endpoint::new(Ipv4::new(107, 22, 0, 1), 443),
+            seq: 1,
+            ack_no: 1,
+            flags: TcpFlags::ACK,
+            payload_len: 0,
+            marker: None,
+        };
+        let run = PacketRun::new(
+            template,
+            4,
+            0,
+            SimTime::from_secs(3),
+            2,
+            Spacing::Every(SimDuration::from_micros(50)),
+        );
+        let mut v: Vec<Packet> = Vec::new();
+        v.accept_run(run.clone());
+        let ts: Vec<u64> = v.iter().map(|p| p.ts.micros()).collect();
+        assert_eq!(ts, [3_000_100, 3_000_150, 3_000_200, 3_000_250]);
+        assert!(v.iter().zip(0..).all(|(p, k)| *p == run.packet(k)));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::dialogue::{CloseMode, Dialogue, Direction, Write};
 use crate::params::{PathParams, TcpParams};
-use nettrace::{AppMarker, FlowKey, Packet, PacketSink, TcpFlags};
+use nettrace::{AppMarker, FlowKey, Packet, PacketRun, PacketSink, Spacing, TcpFlags};
 use simcore::faults::FlowFaults;
 use simcore::{Rng, SimDuration, SimTime};
 
@@ -132,6 +132,22 @@ impl<'d> Segments<'d> {
     fn is_done(&self) -> bool {
         self.writes.is_empty()
     }
+
+    /// Cut up to `max` plain segments at once: full MSS, no marker and no
+    /// PSH, so never a write's first marked segment or its last one.
+    /// Returns how many were cut.
+    fn take_plain(&mut self, max: u32) -> u32 {
+        let Some(w) = self.writes.first() else {
+            return 0;
+        };
+        let rest = w.size - self.cut;
+        if rest <= self.mss || (self.cut == 0 && w.marker.is_some()) {
+            return 0;
+        }
+        let plain = ((rest - 1) / self.mss).min(max);
+        self.cut += plain * self.mss;
+        plain
+    }
 }
 
 impl<'d> Iterator for Segments<'d> {
@@ -152,14 +168,49 @@ impl<'d> Iterator for Segments<'d> {
     }
 }
 
-/// Emits probe-timestamped packets into a sink, in probe order.
+/// A piece of a round's burst, sent as one run: `count` segments of `len`
+/// bytes from `seq` on. Only plain segments come more than one at a time.
+struct Piece<'d> {
+    seq: u32,
+    len: u32,
+    count: u32,
+    psh: bool,
+    marker: Option<&'d AppMarker>,
+    is_rtx: bool,
+}
+
+/// Where a run sits in its train: packets `index..index + count`, spaced
+/// by `spacing`, each `seq_step` bytes further in sequence space.
+#[derive(Clone, Copy)]
+struct Train {
+    spacing: Spacing,
+    index: u32,
+    count: u32,
+    seq_step: u32,
+}
+
+impl Train {
+    /// A single packet.
+    const ONE: Train = Train {
+        spacing: Spacing::Every(SimDuration::ZERO),
+        index: 0,
+        count: 1,
+        seq_step: 0,
+    };
+}
+
+/// Emits probe-timestamped packets into a sink, in probe order, a run at
+/// a time.
 ///
-/// Packets are made in send order, which is not probe order: an ACK sent
-/// in one round can cross the probe after data sent in the next. They
-/// wait in `pending`, each inserted after every pending packet with an
-/// equal or earlier timestamp, until [`Wire::release`] shows that no later
-/// send can precede them. The sink therefore sees exactly the stable
-/// timestamp order of the whole connection.
+/// Runs are made in send order, which is not probe order: an ACK train
+/// sent in one round can cross the probe after data sent in the next.
+/// They wait in `pending`, whose packets, run after run, are in stable
+/// timestamp order: each new packet goes after every pending packet with
+/// an equal or earlier timestamp. A run that starts no earlier than the
+/// last pending packet is appended whole; one that starts earlier is
+/// merged in, splitting runs where the two cross. [`Wire::release`] hands
+/// the sink every packet that no later send can precede, so the sink sees
+/// exactly the stable timestamp order of the whole connection.
 struct Wire<'a, S: PacketSink + ?Sized> {
     key: FlowKey,
     /// One-way delay from the client to the probe.
@@ -167,19 +218,23 @@ struct Wire<'a, S: PacketSink + ?Sized> {
     /// One-way delay from the server to the probe.
     outer_half: SimDuration,
     sink: &'a mut S,
-    /// Packets not yet handed to the sink, in stable timestamp order.
-    pending: Vec<Packet>,
+    /// Runs not yet handed to the sink, in stable timestamp order.
+    pending: Vec<PacketRun>,
     /// The last watermark released: no packet may reach the probe before it.
     released: SimTime,
     last_ts: SimTime,
 }
 
 impl<S: PacketSink + ?Sized> Wire<'_, S> {
+    /// Emit the packets of `train` sent in `dir`, its packet 0 at `send`;
+    /// the `k`-th carries sequence number `seq + k · seq_step`. A single
+    /// packet is a run of one ([`Train::ONE`]).
     #[allow(clippy::too_many_arguments)]
     fn emit(
         &mut self,
         dir: Direction,
-        send_time: SimTime,
+        send: SimTime,
+        train: Train,
         seq: u32,
         ack_no: u32,
         flags: TcpFlags,
@@ -190,15 +245,8 @@ impl<S: PacketSink + ?Sized> Wire<'_, S> {
             Direction::Up => (self.key.client, self.key.server, self.inner_half),
             Direction::Down => (self.key.server, self.key.client, self.outer_half),
         };
-        let ts = send_time + to_probe;
-        debug_assert!(
-            ts >= self.released,
-            "packet at {ts:?} emitted behind the released watermark {:?}",
-            self.released
-        );
-        self.last_ts = self.last_ts.max(ts);
-        let pkt = Packet {
-            ts,
+        let template = Packet {
+            ts: send,
             src,
             dst,
             seq,
@@ -207,33 +255,102 @@ impl<S: PacketSink + ?Sized> Wire<'_, S> {
             payload_len: payload,
             marker,
         };
+        let run = PacketRun::new(
+            template,
+            train.count,
+            train.seq_step,
+            send + to_probe,
+            train.index,
+            train.spacing,
+        );
+        let start = run.first().ts;
+        debug_assert!(
+            start >= self.released,
+            "packet at {start:?} emitted behind the released watermark {:?}",
+            self.released
+        );
+        self.last_ts = self.last_ts.max(run.last_ts());
         match self.pending.last() {
-            Some(last) if last.ts > ts => {
-                let at = self.pending.partition_point(|p| p.ts <= ts);
-                self.pending.insert(at, pkt);
-            }
-            _ => self.pending.push(pkt),
+            Some(last) if last.last_ts() > start => self.merge(run),
+            _ => self.pending.push(run),
         }
+    }
+
+    /// Merge `run` into the pending runs it interleaves with: each of its
+    /// packets goes after every pending packet with an equal or earlier
+    /// timestamp, and runs split where the two cross.
+    fn merge(&mut self, run: PacketRun) {
+        let start = run.first().ts;
+        let from = self.pending.partition_point(|r| r.last_ts() <= start);
+        let mut older = self.pending.split_off(from).into_iter();
+        let (mut old, mut new) = (older.next(), Some(run));
+        loop {
+            match (old.take(), new.take()) {
+                (Some(o), Some(n)) => {
+                    let (o_start, n_start) = (o.first().ts, n.first().ts);
+                    if o_start <= n_start {
+                        old = self
+                            .queue_while(o, |t| t <= n_start)
+                            .or_else(|| older.next());
+                        new = Some(n);
+                    } else {
+                        new = self.queue_while(n, |t| t < o_start);
+                        old = Some(o);
+                    }
+                }
+                (Some(o), None) => {
+                    self.pending.push(o);
+                    self.pending.extend(older);
+                    return;
+                }
+                (None, Some(n)) => {
+                    self.pending.push(n);
+                    return;
+                }
+                (None, None) => return,
+            }
+        }
+    }
+
+    /// Queue the leading packets of `run` whose timestamps satisfy `pred`
+    /// (its first one does) and return the rest, if any.
+    fn queue_while(
+        &mut self,
+        mut run: PacketRun,
+        pred: impl Fn(SimTime) -> bool,
+    ) -> Option<PacketRun> {
+        let k = run.count_while(pred);
+        debug_assert!(k > 0, "merge queued no packet");
+        let rest = (k < run.count()).then(|| run.split_off(k));
+        self.pending.push(run);
+        rest
     }
 
     /// Every send from now on happens at or after `now`, so it reaches the
     /// probe no earlier than `now` plus the shorter one-way delay: hand the
-    /// sink every pending packet up to that watermark. A later packet with
-    /// exactly the watermark's timestamp sorts after the released ones
-    /// anyway, because it was emitted after them.
+    /// sink every pending packet up to that watermark, splitting the run
+    /// that straddles it. A later packet with exactly the watermark's
+    /// timestamp sorts after the released ones anyway, because it was
+    /// emitted after them.
     fn release(&mut self, now: SimTime) {
         let watermark = now + self.inner_half.min(self.outer_half);
-        let ready = self.pending.partition_point(|p| p.ts <= watermark);
-        for pkt in self.pending.drain(..ready) {
-            self.sink.accept(pkt);
+        let ready = self.pending.partition_point(|r| r.last_ts() <= watermark);
+        for run in self.pending.drain(..ready) {
+            self.sink.accept_run(run);
+        }
+        if let Some(run) = self.pending.first_mut() {
+            if run.first().ts <= watermark {
+                let rest = run.split_off(run.count_while(|t| t <= watermark));
+                self.sink.accept_run(std::mem::replace(run, rest));
+            }
         }
         self.released = watermark;
     }
 
     /// Hand the sink what is left; returns the last probe timestamp.
     fn finish(self) -> SimTime {
-        for pkt in self.pending {
-            self.sink.accept(pkt);
+        for run in self.pending {
+            self.sink.accept_run(run);
         }
         self.last_ts
     }
@@ -295,11 +412,21 @@ pub fn simulate_faulty<S: PacketSink + ?Sized>(
     // --- Three-way handshake -------------------------------------------
     // SYN / SYN-ACK / ACK. Handshake loss is not modelled (negligible for
     // every analysis in the paper).
-    wire.emit(Direction::Up, start, 0, 0, TcpFlags::SYN, 0, None);
+    wire.emit(
+        Direction::Up,
+        start,
+        Train::ONE,
+        0,
+        0,
+        TcpFlags::SYN,
+        0,
+        None,
+    );
     let synack_time = start + total_rtt / 2;
     wire.emit(
         Direction::Down,
         synack_time,
+        Train::ONE,
         0,
         1,
         TcpFlags::SYN.union(TcpFlags::ACK),
@@ -307,7 +434,16 @@ pub fn simulate_faulty<S: PacketSink + ?Sized>(
         None,
     );
     let established = start + total_rtt;
-    wire.emit(Direction::Up, established, 1, 1, TcpFlags::ACK, 0, None);
+    wire.emit(
+        Direction::Up,
+        established,
+        Train::ONE,
+        1,
+        1,
+        TcpFlags::ACK,
+        0,
+        None,
+    );
 
     let mut up = Sender::new(tcp.client_initcwnd, established);
     let mut down = Sender::new(tcp.server_initcwnd, established);
@@ -323,9 +459,9 @@ pub fn simulate_faulty<S: PacketSink + ?Sized>(
     let mut aborted = false;
     let mut abort_at = established;
 
-    // Round buffers, reused across rounds and messages. A burst segment is
-    // (seq, len, psh, marker, is_rtx); a queued or lost one (seq, len, psh).
-    let mut burst: Vec<(u32, u32, bool, Option<&AppMarker>, bool)> = Vec::new();
+    // Round buffers, reused across rounds and messages. A queued or lost
+    // segment is (seq, len, psh).
+    let mut burst: Vec<Piece> = Vec::new();
     let mut lost: Vec<(u32, u32, bool)> = Vec::new();
     let mut rtx_queue: Vec<(u32, u32, bool)> = Vec::new();
 
@@ -359,22 +495,50 @@ pub fn simulate_faulty<S: PacketSink + ?Sized>(
             let rtt_round = total_rtt.mul_f64(1.0 + path.jitter * rng.f64());
             let window = (sender.cwnd as u32).clamp(1, tcp.rwnd_segments) as usize;
 
-            // Compose this round's burst: retransmissions first.
+            // Compose this round's burst: retransmissions first, then new
+            // segments, plain ones in a row as one piece.
             let resent = rtx_queue.len().min(window);
-            burst.extend(
-                rtx_queue
-                    .drain(..resent)
-                    .map(|(seq, len, psh)| (seq, len, psh, None, true)),
-            );
-            while burst.len() < window {
-                let Some((len, psh, marker)) = segments.next() else {
+            burst.extend(rtx_queue.drain(..resent).map(|(seq, len, psh)| Piece {
+                seq,
+                len,
+                count: 1,
+                psh,
+                marker: None,
+                is_rtx: true,
+            }));
+            let mut n = resent;
+            while n < window {
+                let plain = segments.take_plain((window - n) as u32);
+                let piece = if plain > 0 {
+                    Piece {
+                        seq: sender.next_seq,
+                        len: tcp.mss,
+                        count: plain,
+                        psh: false,
+                        marker: None,
+                        is_rtx: false,
+                    }
+                } else if let Some((len, psh, marker)) = segments.next() {
+                    Piece {
+                        seq: sender.next_seq,
+                        len,
+                        count: 1,
+                        psh,
+                        marker,
+                        is_rtx: false,
+                    }
+                } else {
                     break;
                 };
-                burst.push((sender.next_seq, len, psh, marker, false));
-                sender.next_seq = sender.next_seq.wrapping_add(len);
+                sender.next_seq = sender.next_seq.wrapping_add(piece.len * piece.count);
+                n += piece.count as usize;
+                burst.push(piece);
             }
 
-            let burst_bytes: u64 = burst.iter().map(|s| s.1 as u64).sum();
+            let burst_bytes: u64 = burst
+                .iter()
+                .map(|p| u64::from(p.len) * u64::from(p.count))
+                .sum();
             // Serialisation time under an access-rate cap.
             let serialize = rate
                 .map(|r| SimDuration::from_secs_f64(burst_bytes as f64 / r as f64))
@@ -395,44 +559,59 @@ pub fn simulate_faulty<S: PacketSink + ?Sized>(
                 Direction::Down => recvd_up,
             };
 
+            // Each piece crosses the probe as one run of the burst's train;
+            // loss is drawn per segment, in burst order.
+            let spacing = Spacing::Spread {
+                span: serialize,
+                of: n as u32,
+            };
+            let mut index = 0;
             let mut delivered = 0usize;
-            let n = burst.len();
-            for (i, (seq, len, psh, marker, is_rtx)) in burst.drain(..).enumerate() {
-                // Spread segments across the serialisation window.
-                let offset = if n > 1 && !serialize.is_zero() {
-                    serialize.mul_f64(i as f64 / n as f64)
-                } else {
-                    SimDuration::ZERO
-                };
-                let send_t = clock + offset;
+            let mut last_delivered = None;
+            for piece in burst.drain(..) {
                 let mut flags = TcpFlags::ACK;
-                if psh {
+                if piece.psh {
                     flags = flags.union(TcpFlags::PSH);
                 }
+                let train = Train {
+                    spacing,
+                    index,
+                    count: piece.count,
+                    seq_step: piece.len,
+                };
                 wire.emit(
                     msg.dir,
-                    send_t,
-                    seq,
+                    clock,
+                    train,
+                    piece.seq,
                     peer_ack_base,
                     flags,
-                    len,
-                    marker.cloned(),
+                    piece.len,
+                    piece.marker.cloned(),
                 );
-                sender.bytes_sent += len as u64;
-                total_payload_sent += len as u64;
-                if is_rtx {
+                if piece.is_rtx {
                     sender.rtx_segments += 1;
-                    sender.rtx_bytes += len as u64;
+                    sender.rtx_bytes += piece.len as u64;
                 }
-                let dropped = loss_p > 0.0 && rng.chance(loss_p);
-                if dropped && !is_rtx {
-                    lost.push((seq, len, psh));
-                } else {
-                    delivered += 1;
-                    // Receiver-side bookkeeping happens below.
-                    let arrival = send_t + rtt_round / 2;
-                    last_arrival = last_arrival.max(arrival);
+                for k in 0..piece.count {
+                    let dropped = loss_p > 0.0 && rng.chance(loss_p);
+                    if dropped && !piece.is_rtx {
+                        let seq = piece.seq.wrapping_add(k * piece.len);
+                        lost.push((seq, piece.len, piece.psh));
+                    } else {
+                        delivered += 1;
+                        last_delivered = Some(index + k);
+                    }
                 }
+                index += piece.count;
+            }
+            sender.bytes_sent += burst_bytes;
+            total_payload_sent += burst_bytes;
+            // The last segment delivered arrives last: offsets never
+            // decrease along the burst.
+            if let Some(i) = last_delivered {
+                let arrival = clock + spacing.offset(i) + rtt_round / 2;
+                last_arrival = last_arrival.max(arrival);
             }
 
             // Receiver ACKs: cumulative up to the first hole; one delayed
@@ -456,22 +635,23 @@ pub fn simulate_faulty<S: PacketSink + ?Sized>(
                 }
             };
             if delivered > 0 {
-                let n_acks = delivered.div_ceil(2);
-                let ack_time = clock + serialize + rtt_round / 2;
-                for a in 0..n_acks {
-                    // Dup-ACKs all carry the same cumulative number when a
-                    // hole exists; spacing is cosmetic.
-                    let t = ack_time + SimDuration::from_micros(a as u64 * 50);
-                    wire.emit(
-                        msg.dir.flip(),
-                        t,
-                        peer_next_seq,
-                        new_recvd,
-                        TcpFlags::ACK,
-                        0,
-                        None,
-                    );
-                }
+                // Dup-ACKs all carry the same cumulative number when a
+                // hole exists; the 50 µs spacing is cosmetic.
+                let train = Train {
+                    spacing: Spacing::Every(SimDuration::from_micros(50)),
+                    count: delivered.div_ceil(2) as u32,
+                    ..Train::ONE
+                };
+                wire.emit(
+                    msg.dir.flip(),
+                    clock + serialize + rtt_round / 2,
+                    train,
+                    peer_next_seq,
+                    new_recvd,
+                    TcpFlags::ACK,
+                    0,
+                    None,
+                );
             }
 
             // Window evolution and next-round clock.
@@ -518,6 +698,7 @@ pub fn simulate_faulty<S: PacketSink + ?Sized>(
         wire.emit(
             Direction::Up,
             abort_at,
+            Train::ONE,
             up.next_seq,
             recvd_down,
             TcpFlags::RST,
@@ -535,6 +716,7 @@ pub fn simulate_faulty<S: PacketSink + ?Sized>(
             wire.emit(
                 Direction::Down,
                 t,
+                Train::ONE,
                 down.next_seq,
                 recvd_up,
                 TcpFlags::PSH.union(TcpFlags::ACK).union(TcpFlags::FIN),
@@ -546,6 +728,7 @@ pub fn simulate_faulty<S: PacketSink + ?Sized>(
             wire.emit(
                 Direction::Up,
                 rst_t,
+                Train::ONE,
                 up.next_seq,
                 recvd_down,
                 TcpFlags::RST,
@@ -558,6 +741,7 @@ pub fn simulate_faulty<S: PacketSink + ?Sized>(
             wire.emit(
                 Direction::Up,
                 t,
+                Train::ONE,
                 up.next_seq,
                 recvd_down,
                 TcpFlags::FIN.union(TcpFlags::ACK),
@@ -568,6 +752,7 @@ pub fn simulate_faulty<S: PacketSink + ?Sized>(
             wire.emit(
                 Direction::Down,
                 t2,
+                Train::ONE,
                 down.next_seq,
                 recvd_up.wrapping_add(1),
                 TcpFlags::FIN.union(TcpFlags::ACK),
@@ -577,6 +762,7 @@ pub fn simulate_faulty<S: PacketSink + ?Sized>(
             wire.emit(
                 Direction::Up,
                 t + total_rtt,
+                Train::ONE,
                 up.next_seq.wrapping_add(1),
                 recvd_down.wrapping_add(1),
                 TcpFlags::ACK,
@@ -589,6 +775,7 @@ pub fn simulate_faulty<S: PacketSink + ?Sized>(
             wire.emit(
                 Direction::Up,
                 t,
+                Train::ONE,
                 up.next_seq,
                 recvd_down,
                 TcpFlags::RST,
@@ -1002,6 +1189,139 @@ mod tests {
         assert_eq!(s.bytes_up, 10_000);
         assert!(s.bytes_down < 400_000);
         assert!(pkts.iter().any(|p| p.flags.rst()));
+    }
+
+    /// Random runs with frequent equal timestamps, emitted round by round
+    /// and released behind each round's clock: the sink receives exactly
+    /// the packets, in exactly the order, of inserting each packet after
+    /// every pending one with an equal or earlier timestamp.
+    #[test]
+    fn wire_hands_the_sink_the_stable_timestamp_order() {
+        let mut rng = Rng::new(17);
+        for _ in 0..500 {
+            let mut sink: Vec<Packet> = Vec::new();
+            let mut wire = Wire {
+                key: key(),
+                inner_half: SimDuration::ZERO,
+                outer_half: SimDuration::ZERO,
+                sink: &mut sink,
+                pending: Vec::new(),
+                released: SimTime::EPOCH,
+                last_ts: SimTime::EPOCH,
+            };
+            let mut reference: Vec<Packet> = Vec::new();
+            let mut pending: Vec<Packet> = Vec::new();
+            let mut seq = 0;
+            for round in 0..8 {
+                let now = SimTime::from_millis(10 * round);
+                wire.release(now);
+                let ready = pending.partition_point(|p| p.ts <= now);
+                reference.extend(pending.drain(..ready));
+                for _ in 0..rng.range_u64(1, 4) {
+                    let send = now + SimDuration::from_millis(rng.range_u64(0, 25));
+                    let spacing = if rng.chance(0.5) {
+                        Spacing::Every(SimDuration::from_millis(rng.range_u64(0, 3)))
+                    } else {
+                        Spacing::Spread {
+                            span: SimDuration::from_micros(1_000 * rng.range_u64(0, 12) + 1),
+                            of: 12,
+                        }
+                    };
+                    let train = Train {
+                        spacing,
+                        index: rng.range_u64(0, 6) as u32,
+                        count: rng.range_u64(1, 6) as u32,
+                        seq_step: 1,
+                    };
+                    let dir = if rng.chance(0.5) {
+                        Direction::Up
+                    } else {
+                        Direction::Down
+                    };
+                    wire.emit(dir, send, train, seq, 0, TcpFlags::ACK, 0, None);
+                    let (src, dst) = match dir {
+                        Direction::Up => (key().client, key().server),
+                        Direction::Down => (key().server, key().client),
+                    };
+                    for k in 0..train.count {
+                        let pkt = Packet {
+                            ts: send + spacing.offset(train.index + k),
+                            src,
+                            dst,
+                            seq: seq + k,
+                            ack_no: 0,
+                            flags: TcpFlags::ACK,
+                            payload_len: 0,
+                            marker: None,
+                        };
+                        let at = pending.partition_point(|p| p.ts <= pkt.ts);
+                        pending.insert(at, pkt);
+                    }
+                    seq += train.count;
+                }
+            }
+            wire.finish();
+            reference.append(&mut pending);
+            assert_eq!(sink, reference);
+        }
+    }
+
+    #[test]
+    fn ack_train_straddling_the_next_burst_is_interleaved() {
+        // Without jitter or a rate cap a round's ACKs reach the probe the
+        // inner RTT (2 ms) before the next burst, and a train of 45 ACKs
+        // (a 90-segment window) spans 44 × 50 µs = 2.2 ms.
+        let path = PathParams {
+            inner_rtt: SimDuration::from_millis(2),
+            outer_rtt: SimDuration::from_millis(90),
+            ..path_100ms()
+        };
+        let d = Dialogue::new(vec![Message::simple(
+            Direction::Up,
+            SimDuration::ZERO,
+            2_000_000,
+        )])
+        .with_close(CloseMode::ClientFin {
+            delay: SimDuration::from_millis(10),
+        });
+        let (pkts, _) = run(d.clone(), path.clone());
+        // Some server ACK repeats the cumulative number of an earlier one
+        // with client data in between: its train straddles the burst.
+        let mut train: Option<(u32, bool)> = None; // (ack number, data since)
+        let mut straddled = 0;
+        for p in &pkts {
+            if p.src == key().server && p.payload_len == 0 && !p.flags.fin() {
+                match train {
+                    Some((ack, true)) if ack == p.ack_no => straddled += 1,
+                    Some((ack, _)) if ack == p.ack_no => {}
+                    _ => train = Some((p.ack_no, false)),
+                }
+            } else if p.src == key().client && p.payload_len > 0 {
+                if let Some((_, data)) = &mut train {
+                    *data = true;
+                }
+            }
+        }
+        assert!(straddled > 0, "no ACK train crosses the next burst");
+        assert!(pkts.windows(2).all(|w| w[0].ts <= w[1].ts));
+
+        // The run fold gives the record of the per-packet fold.
+        let mut flow = tstat::FlowObserver::new(None);
+        simulate(
+            SimTime::from_secs(10),
+            key(),
+            &d,
+            &path,
+            &TcpParams::era_2012_v1(),
+            &mut Rng::new(1),
+            &mut flow,
+        );
+        let by_run = flow.finish().expect("flow record");
+        let by_packet = tstat::Monitor::new(false)
+            .process_flow(&pkts)
+            .expect("flow record");
+        assert_eq!(format!("{by_run:?}"), format!("{by_packet:?}"));
+        assert_eq!(by_run.up.packets + by_run.down.packets, pkts.len() as u64);
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //!
 //! [`FlowObserver`] is the same per-packet reconstruction for one
 //! connection, with no flow table: a [`PacketSink`] the TCP model streams
-//! a simulated flow into, packet by packet in probe order.
+//! a simulated flow into, in probe order, a run of segments at a time. It
+//! folds a run's first packet through the per-packet routine and the
+//! rest of a burst or an ACK train in O(1).
 //!
 //! The monitor never reads opaque payload bytes: everything comes from
 //! headers, sizes, timing, and the cleartext/handshake fields a real DPI
@@ -29,7 +31,7 @@
 #![warn(missing_docs)]
 
 use nettrace::flow::{DirStats, FlowClose, NotifyMeta};
-use nettrace::{AppMarker, FlowKey, FlowRecord, Ipv4, Packet, PacketSink};
+use nettrace::{AppMarker, FlowKey, FlowRecord, Ipv4, Packet, PacketRun, PacketSink, TcpFlags};
 use simcore::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -38,6 +40,7 @@ use std::collections::{BTreeMap, VecDeque};
 const RTT_WINDOW: usize = 64;
 
 /// Per-flow reconstruction state.
+#[cfg_attr(test, derive(Clone, Debug, PartialEq))]
 struct FlowState {
     key: FlowKey,
     first_syn: SimTime,
@@ -112,8 +115,8 @@ impl FlowState {
                     // Karn: stop sampling until acks pass the rtx point.
                     self.karn_suspended = true;
                     self.outstanding.clear();
-                } else if self.outstanding.len() < RTT_WINDOW && !self.karn_suspended {
-                    self.outstanding.push_back((seq_end, pkt.ts));
+                } else {
+                    self.queue_rtt_sample(seq_end, pkt.ts);
                 }
             }
         } else if pkt.flags.ack() {
@@ -204,6 +207,70 @@ impl FlowState {
                 self.fin_down = true;
             }
         }
+    }
+
+    /// Queue new client data for RTT sampling unless Karn's rule has
+    /// sampling suspended or the window is full; false when not queued.
+    fn queue_rtt_sample(&mut self, seq_end: u32, ts: SimTime) -> bool {
+        let queued = self.outstanding.len() < RTT_WINDOW && !self.karn_suspended;
+        if queued {
+            self.outstanding.push_back((seq_end, ts));
+        }
+        queued
+    }
+
+    /// Fold packets `1..` of a run whose first packet [`FlowState::observe`]
+    /// just folded, in O(1) but for the RTT samples of client data; false,
+    /// with nothing folded, when the run is not of a shape whose later
+    /// packets the first one fully describes.
+    ///
+    /// Those shapes are plain packets (at most the ACK flag, no marker):
+    /// * without payload, every later packet repeats the first one's
+    ///   effect, which a second application leaves unchanged: the same
+    ///   cumulative ACK finds no more covered segments, and sets no flag;
+    /// * with payload, each segment must start where the previous one
+    ///   ended, the first one ending at the highest sequence number seen,
+    ///   so that every later one is new data; a server segment's ACK is
+    ///   then a repeat as above, and a client segment queues its sample.
+    fn fold_run_tail(&mut self, run: &PacketRun, from_client: bool) -> bool {
+        let first = run.first();
+        if first.flags.0 & !TcpFlags::ACK.0 != 0 || first.marker.is_some() {
+            return false;
+        }
+        let (rest, last, len) = (run.count() - 1, run.last_ts(), first.payload_len);
+        if len > 0 {
+            let max_seq_end = if from_client {
+                self.max_seq_end_up
+            } else {
+                self.max_seq_end_down
+            };
+            if run.seq_step() != len
+                || len >= 0x8000_0000
+                || max_seq_end != first.seq.wrapping_add(len)
+            {
+                return false;
+            }
+            if from_client {
+                for k in 1..=rest {
+                    if !self.queue_rtt_sample(run.seq(k).wrapping_add(len), run.ts(k)) {
+                        break;
+                    }
+                }
+            }
+        }
+        let (dir, max_seq_end) = if from_client {
+            (&mut self.up, &mut self.max_seq_end_up)
+        } else {
+            (&mut self.down, &mut self.max_seq_end_down)
+        };
+        dir.packets += u64::from(rest);
+        if len > 0 {
+            dir.bytes += u64::from(rest) * u64::from(len);
+            dir.last_payload = Some(last);
+            *max_seq_end = run.seq(rest).wrapping_add(len);
+        }
+        self.last_packet = self.last_packet.max(last);
+        true
     }
 
     fn finalize(self, server_fqdn: Option<String>) -> FlowRecord {
@@ -460,12 +527,34 @@ impl PacketSink for FlowObserver {
     fn accept(&mut self, pkt: Packet) {
         self.observe(&pkt);
     }
+
+    /// The run's first packet goes through the per-packet routine; the
+    /// rest fold in O(1) when the flow is open and not reset, the run
+    /// belongs to it, and its shape allows (`FlowState::fold_run_tail`);
+    /// otherwise packet by packet.
+    fn accept_run(&mut self, run: PacketRun) {
+        self.observe(run.first());
+        if run.count() == 1 {
+            return;
+        }
+        if let Some(state) = &mut self.flow {
+            let (key, first) = (state.key, run.first());
+            let from_client = (first.src, first.dst) == (key.client, key.server);
+            let oriented = from_client || (first.src, first.dst) == (key.server, key.client);
+            if !state.rst && oriented && state.fold_run_tail(&run, from_client) {
+                return;
+            }
+        }
+        for k in 1..run.count() {
+            self.observe(&run.packet(k));
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nettrace::{Endpoint, TcpFlags};
+    use nettrace::{Endpoint, Spacing};
     use simcore::{Rng, SimDuration};
     use tcpmodel::tls;
     use tcpmodel::{simulate, CloseMode, Dialogue, Direction, Message, PathParams, TcpParams};
@@ -791,6 +880,253 @@ mod tests {
             assert_eq!(drained, covered, "ack {ack} over {queued:?}");
             assert_eq!(Vec::from(outstanding), rest, "ack {ack} over {queued:?}");
         }
+    }
+
+    /// A packet of `key()`'s connection.
+    fn segment(from_client: bool, ts_us: u64, seq: u32, ack_no: u32, len: u32) -> Packet {
+        let (src, dst) = if from_client {
+            (key().client, key().server)
+        } else {
+            (key().server, key().client)
+        };
+        Packet {
+            ts: SimTime::from_micros(ts_us),
+            src,
+            dst,
+            seq,
+            ack_no,
+            flags: TcpFlags::ACK,
+            payload_len: len,
+            marker: None,
+        }
+    }
+
+    /// A flow opened by a SYN from `isn` and `prefix` folded packet by
+    /// packet.
+    fn flow_after(isn: u32, prefix: &[Packet]) -> FlowState {
+        let syn = Packet {
+            flags: TcpFlags::SYN,
+            seq: isn,
+            ..segment(true, 1_000_000, isn, 0, 0)
+        };
+        let mut state = FlowState::new(key(), syn.ts);
+        state.observe(&syn, true);
+        for p in prefix {
+            state.observe(p, (p.src, p.dst) == (key().client, key().server));
+        }
+        state
+    }
+
+    /// Fold `run` both ways from `state`: its first packet through
+    /// `observe` and the rest in O(1), and every packet of its expansion
+    /// through `observe`. The two states must be equal.
+    fn assert_run_folds_like_its_expansion(state: &FlowState, run: &PacketRun) {
+        let from_client = (run.first().src, run.first().dst) == (key().client, key().server);
+        let mut by_run = state.clone();
+        by_run.observe(run.first(), from_client);
+        assert!(
+            by_run.fold_run_tail(run, from_client),
+            "run takes the O(1) fold: {run:?}"
+        );
+        let mut by_packet = state.clone();
+        for k in 0..run.count() {
+            by_packet.observe(&run.packet(k), from_client);
+        }
+        assert_eq!(by_run, by_packet, "{run:?}");
+    }
+
+    /// Every run kind the TCP model hands over, from the states the fold
+    /// must get right: Karn's rule suspended, one slot left in the RTT
+    /// queue, sequence numbers about to wrap.
+    #[test]
+    fn run_fold_equals_observe_over_the_expansion() {
+        const MSS: u32 = 1430;
+        let bursts = [
+            Spacing::Spread {
+                span: SimDuration::ZERO,
+                of: 90,
+            },
+            Spacing::Spread {
+                span: SimDuration::from_micros(12_345),
+                of: 90,
+            },
+        ];
+        let acks = Spacing::Every(SimDuration::from_micros(50));
+        for isn in [0u32, u32::MAX - 40 * MSS] {
+            let data = |i: u32| isn.wrapping_add(1 + i * MSS);
+            // Ten client segments sampled, then the first one resent:
+            // Karn's rule suspends sampling and empties the queue.
+            let mut karn: Vec<Packet> = (0..10)
+                .map(|i| segment(true, 2_000_000 + u64::from(i), data(i), 1, MSS))
+                .collect();
+            karn.push(segment(true, 2_100_000, data(0), 1, MSS));
+            // The SYN and 62 client segments outstanding: one slot left.
+            let full: Vec<Packet> = (0..62)
+                .map(|i| segment(true, 2_000_000 + u64::from(i), data(i), 1, MSS))
+                .collect();
+            let starts = [
+                ("fresh", flow_after(isn, &[]), 0),
+                ("karn", flow_after(isn, &karn), 10),
+                ("63 outstanding", flow_after(isn, &full), 62),
+            ];
+            for (name, state, sent) in &starts {
+                assert_eq!(state.karn_suspended, *name == "karn");
+                if *name == "63 outstanding" {
+                    assert_eq!(state.outstanding.len(), 63);
+                }
+                let next = data(*sent);
+                for spacing in bursts {
+                    // Client data: new segments after the highest sent.
+                    let run = PacketRun::new(
+                        segment(true, 0, next, 1, MSS),
+                        45,
+                        MSS,
+                        SimTime::from_micros(3_000_000),
+                        7,
+                        spacing,
+                    );
+                    assert_run_folds_like_its_expansion(state, &run);
+                    // Server data, carrying the same cumulative ACK.
+                    let run = PacketRun::new(
+                        segment(false, 0, 5_000, next, MSS),
+                        20,
+                        MSS,
+                        SimTime::from_micros(3_000_000),
+                        0,
+                        spacing,
+                    );
+                    assert_run_folds_like_its_expansion(state, &run);
+                }
+                // Server ACKs: the first covers half of what was sent (and
+                // lifts Karn's suspension when nothing is left), the rest
+                // repeat it.
+                let run = PacketRun::new(
+                    segment(false, 0, 1, data(sent / 2), 0),
+                    12,
+                    0,
+                    SimTime::from_micros(3_100_000),
+                    0,
+                    acks,
+                );
+                assert_run_folds_like_its_expansion(state, &run);
+                // Client ACKs of server data.
+                let run = PacketRun::new(
+                    segment(true, 0, next, 9_000, 0),
+                    45,
+                    0,
+                    SimTime::from_micros(3_100_000),
+                    0,
+                    acks,
+                );
+                assert_run_folds_like_its_expansion(state, &run);
+            }
+        }
+    }
+
+    #[test]
+    fn runs_the_tail_fold_cannot_describe_fall_back_to_observe() {
+        let state = flow_after(
+            0,
+            &[
+                segment(true, 2_000_000, 1, 1, 1430),
+                segment(true, 2_000_001, 1431, 1, 1430),
+            ],
+        );
+        // Resent segments, the second one too.
+        let resent = PacketRun::new(
+            segment(true, 0, 1, 1, 1430),
+            3,
+            1430,
+            SimTime::from_micros(3_000_000),
+            0,
+            Spacing::Every(SimDuration::ZERO),
+        );
+        // Marked, PSH or FIN segments, and segments that do not abut.
+        let marked = PacketRun::new(
+            Packet {
+                marker: Some(AppMarker::HttpResponse { status: 200 }),
+                ..segment(false, 0, 1, 2861, 100)
+            },
+            2,
+            100,
+            SimTime::from_micros(3_000_000),
+            0,
+            Spacing::Every(SimDuration::ZERO),
+        );
+        let psh = PacketRun::new(
+            Packet {
+                flags: TcpFlags::ACK.union(TcpFlags::PSH),
+                ..segment(true, 0, 2861, 1, 1430)
+            },
+            2,
+            1430,
+            SimTime::from_micros(3_000_000),
+            0,
+            Spacing::Every(SimDuration::ZERO),
+        );
+        let gaps = PacketRun::new(
+            segment(true, 0, 2861, 1, 1430),
+            2,
+            3000,
+            SimTime::from_micros(3_000_000),
+            0,
+            Spacing::Every(SimDuration::ZERO),
+        );
+        for run in [resent, marked, psh, gaps] {
+            let from_client = run.first().src == key().client;
+            let mut s = state.clone();
+            s.observe(run.first(), from_client);
+            let before = s.clone();
+            assert!(!s.fold_run_tail(&run, from_client), "{run:?}");
+            assert_eq!(s, before, "a refused run folds nothing");
+        }
+    }
+
+    #[test]
+    fn observer_folds_runs_like_their_packets_around_open_and_reset() {
+        let syn = Packet {
+            flags: TcpFlags::SYN,
+            ..segment(true, 1_000_000, 0, 0, 0)
+        };
+        let rst = Packet {
+            flags: TcpFlags::RST,
+            ..segment(true, 2_500_000, 14_301, 1, 0)
+        };
+        let data = PacketRun::new(
+            segment(true, 0, 1, 1, 1430),
+            10,
+            1430,
+            SimTime::from_micros(2_000_000),
+            0,
+            Spacing::Every(SimDuration::from_micros(10)),
+        );
+        let late_acks = PacketRun::new(
+            segment(false, 0, 1, 7_151, 0),
+            5,
+            0,
+            SimTime::from_micros(2_600_000),
+            0,
+            Spacing::Every(SimDuration::from_micros(50)),
+        );
+        // Before the SYN nothing is open; after the RST the flow is over.
+        let one = |p: Packet| {
+            let ts = p.ts;
+            PacketRun::new(p, 1, 0, ts, 0, Spacing::Every(SimDuration::ZERO))
+        };
+        let stream = [data.clone(), one(syn), data, one(rst), late_acks];
+        let mut by_run = FlowObserver::new(None);
+        let mut by_packet = FlowObserver::new(None);
+        for run in stream {
+            for k in 0..run.count() {
+                by_packet.accept(run.packet(k));
+            }
+            by_run.accept_run(run);
+        }
+        assert_eq!(by_run.flow, by_packet.flow);
+        let rec = by_run.finish().expect("the SYN opens the flow");
+        assert_eq!(rec.up.packets, 12);
+        assert_eq!(rec.down.packets, 0);
+        assert_eq!(rec.close, FlowClose::Rst);
     }
 
     #[test]

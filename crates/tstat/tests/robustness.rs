@@ -99,38 +99,53 @@ proptest! {
         prop_assert_eq!(rec.down.psh_segments, base.down.psh_segments);
     }
 
-    /// `simulate_faulty` streamed into a `FlowObserver` gives, field by
-    /// field, the record `Monitor::observe` builds from the same flow's
-    /// packet vector, over lossy, rate-capped access links and random
-    /// fault profiles — for every flow with no packet after its RST (the
-    /// observer ends a flow at its RST; the table would open a new one).
+    /// `simulate_faulty` streamed into a `FlowObserver`, which folds each
+    /// burst and ACK train as a run, gives, field by field, the record
+    /// `Monitor::observe` builds packet by packet from the same flow's
+    /// packet vector. Messages reach ~3 MB, so windows reach the receiver
+    /// window; writes carry markers; both TCP eras; wired, wifi, lte, an
+    /// ADSL-like rate cap and a fast 2 ms inner RTT whose ACK trains cross
+    /// the next burst; extra loss up to 6%, which suspends RTT sampling
+    /// (Karn) and fills the 64-entry RTT queue; random fault profiles. Every flow
+    /// with no packet after its RST qualifies (the observer ends a flow at
+    /// its RST; the table would open a new one).
     #[test]
     fn flow_observer_matches_monitor_over_the_packet_vector(
-        messages in vec_of((1u32..150_000, any_bool(), any_bool()), 1..6),
-        link in 0usize..3,
+        messages in vec_of((vec_of((1u32..3_000_000, 0u8..4), 1..4), any_bool()), 1..5),
+        link in 0usize..5,
+        v14 in any_bool(),
         close in 0u8..4,
         extra_loss_m in 0u64..60,
         spike_ms in 0u64..250,
-        reset_after in 1u64..900_000,
+        reset_after in 1u64..6_000_000,
         faults_on in (any_bool(), any_bool(), any_bool()),
         seed in 0u64..1_000_000,
     ) {
         let name = "dl-client3.dropbox.com";
         let mut m = tls::handshake(name, "*.dropbox.com", SimDuration::from_millis(40));
-        for &(size, up, notify) in &messages {
-            let write = if notify {
-                Write::marked(size, AppMarker::NotifyRequest {
-                    host: "notify3.dropbox.com".into(),
-                    host_int: u64::from(size),
-                    namespaces: vec![1, u64::from(size)],
+        for (writes, up) in &messages {
+            let writes = writes
+                .iter()
+                .map(|&(size, kind)| {
+                    // Half the writes are short, as in control exchanges.
+                    let size = if kind % 2 == 0 { size } else { 1 + size % 20_000 };
+                    match kind {
+                        0 => Write::marked(size, AppMarker::NotifyRequest {
+                            host: "notify3.dropbox.com".into(),
+                            host_int: u64::from(size),
+                            namespaces: vec![1, u64::from(size)],
+                        }),
+                        1 => Write::marked(size, AppMarker::TlsCertificate {
+                            common_name: "*.dropbox.com".into(),
+                        }),
+                        _ => Write::plain(size),
+                    }
                 })
-            } else {
-                Write::plain(size)
-            };
+                .collect();
             m.push(Message {
-                dir: if up { Direction::Up } else { Direction::Down },
+                dir: if *up { Direction::Up } else { Direction::Down },
                 delay: SimDuration::from_millis(20),
-                writes: vec![write],
+                writes,
             });
         }
         let close = match close {
@@ -140,9 +155,31 @@ proptest! {
             _ => CloseMode::LeftOpen,
         };
         let d = Dialogue::new(m).with_close(close);
-        let path = AccessLink::by_name(["wired", "wifi", "lte"][link])
-            .expect("known access profile")
-            .path(SimDuration::from_millis(90), &mut Rng::new(seed));
+        let mut draw = Rng::new(seed);
+        let path = match link {
+            0..=2 => AccessLink::by_name(["wired", "wifi", "lte"][link])
+                .expect("known access profile")
+                .path(SimDuration::from_millis(90), &mut draw),
+            3 => PathParams {
+                inner_rtt: SimDuration::from_millis(draw.range_u64(25, 60)),
+                outer_rtt: SimDuration::from_millis(90),
+                jitter: 0.06,
+                loss_up: 0.001,
+                loss_down: 0.001,
+                up_rate: Some(draw.range_u64(40_000, 130_000)),
+                down_rate: Some(draw.range_u64(250_000, 2_500_000)),
+            },
+            _ => PathParams {
+                inner_rtt: SimDuration::from_millis(2),
+                outer_rtt: SimDuration::from_millis(90),
+                jitter: 0.0,
+                loss_up: 0.0,
+                loss_down: 0.0,
+                up_rate: None,
+                down_rate: None,
+            },
+        };
+        let tcp = if v14 { TcpParams::era_2012_v14() } else { TcpParams::era_2012_v1() };
         let faults = FlowFaults {
             extra_loss: if faults_on.0 { extra_loss_m as f64 / 1000.0 } else { 0.0 },
             latency_spike: faults_on.1.then(|| SimDuration::from_millis(spike_ms)),
@@ -153,7 +190,7 @@ proptest! {
             Endpoint::new(Ipv4::new(107, 22, 0, 7), 443),
         );
         let run = |out: &mut dyn nettrace::PacketSink| {
-            simulate_faulty(SimTime::from_secs(2), key, &d, &path, &TcpParams::era_2012_v1(),
+            simulate_faulty(SimTime::from_secs(2), key, &d, &path, &tcp,
                 Some(&faults), &mut Rng::new(seed), out)
         };
 

@@ -87,12 +87,25 @@ cargo run --release --offline -p experiments --bin repro -- \
     all --scale 0.01 --jobs 4 --hh-shards 3 --out "$all_cut_dir" > /dev/null
 diff -r "$all_serial_dir" "$all_cut_dir"
 
+# The committed bytes: the headline run must rebuild every file it writes
+# byte for byte as committed in results/, and the protocol-trace example
+# must rebuild the committed pcap.
+all_committed_dir="$(mktemp -d)"
+trap 'rm -rf "$smoke_dir" "$par_dir" "$coarse_dir" "$all_serial_dir" "$all_cut_dir" "$all_committed_dir"' EXIT
+cargo run --release --offline -p experiments --bin repro -- \
+    all --scale 0.1 --seed 2012 --out "$all_committed_dir" > /dev/null
+for f in "$all_committed_dir"/*; do
+    cmp "$f" "results/$(basename "$f")"
+done
+cargo run --release --offline --example protocol_trace > /dev/null
+git diff --exit-code -- protocol_trace.pcap
+
 # Provider-matrix smoke: every spec through the same Home 1 workload on
 # an LTE access profile, twice — the artifacts (throughput CDFs, volume
 # table, bundling-vs-RTT sweep) must be deterministic run over run.
 matrix_dir="$(mktemp -d)"
 matrix_dir2="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$par_dir" "$coarse_dir" "$all_serial_dir" "$all_cut_dir" "$matrix_dir" "$matrix_dir2"' EXIT
+trap 'rm -rf "$smoke_dir" "$par_dir" "$coarse_dir" "$all_serial_dir" "$all_cut_dir" "$all_committed_dir" "$matrix_dir" "$matrix_dir2"' EXIT
 cargo run --release --offline -p experiments --bin repro -- \
     --provider-matrix --access lte --scale 0.02 --jobs 4 --out "$matrix_dir"
 test -s "$matrix_dir/provider_matrix.txt"
@@ -107,7 +120,7 @@ diff -r "$matrix_dir" "$matrix_dir2"
 # against the sync-convergence oracle; `repro --chaos` exits non-zero on
 # any violation.
 chaos_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$par_dir" "$coarse_dir" "$all_serial_dir" "$all_cut_dir" "$matrix_dir" "$matrix_dir2" "$chaos_dir"' EXIT
+trap 'rm -rf "$smoke_dir" "$par_dir" "$coarse_dir" "$all_serial_dir" "$all_cut_dir" "$all_committed_dir" "$matrix_dir" "$matrix_dir2" "$chaos_dir"' EXIT
 cargo run --release --offline -p experiments --bin repro -- \
     --chaos 32 --out "$chaos_dir"
 test -s "$chaos_dir/chaos_soak.txt"
