@@ -1,24 +1,17 @@
 //! Per-file analysis facts: everything the global passes need from one
-//! source file, in serializable form.
+//! source file.
 //!
 //! The lint used to hand whole token streams to every rule. Splitting the
 //! work into a per-file *fact extraction* step and cheap cross-file
 //! *global passes* (emission reachability, seed-provenance taint, schema
-//! drift, stale-allow detection) buys two things at once: the global
-//! passes see resolved, structured data instead of tokens, and the
-//! per-file step — the expensive part — can be cached by content hash
-//! ([`crate::cache`]) because its output is a pure function of
+//! drift, stale-allow detection) lets the global passes see resolved,
+//! structured data instead of tokens, and keeps each source file lexed
+//! exactly once per run: [`FileFacts::compute`] is a pure function of
 //! `(file bytes, configuration)`.
-//!
-//! Serialisation deliberately reads every field with `field_or` defaults:
-//! the cache format is versioned as a whole (config digest), so per-field
-//! strictness buys nothing, and the workspace's own schema-drift rule
-//! stays quiet about it.
 
 use crate::lexer::TokKind;
 use crate::source::{FnSpan, SourceFile};
 use crate::{floatsum, rules, schema, taint, Options};
-use simcore::json::{FromJson, Json, JsonError, ToJson};
 use std::collections::BTreeSet;
 
 /// One pre-routing diagnostic: a rule hit that has not yet been matched
@@ -131,7 +124,7 @@ pub struct SchemaFact {
     pub line: u32,
 }
 
-/// A parsed allow annotation, in serializable form.
+/// A parsed allow annotation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AllowFact {
     /// 1-based line of the annotation.
@@ -215,7 +208,7 @@ pub fn module_of(rel: &str) -> Vec<String> {
 
 impl FileFacts {
     /// Extract all facts from one file. Pure function of
-    /// `(rel, src, opts)` — the cache contract.
+    /// `(rel, src, opts)`.
     pub fn compute(rel: &str, src: &str, opts: &Options) -> FileFacts {
         let file = SourceFile::analyse(rel, src);
         let mut local = Vec::new();
@@ -458,272 +451,6 @@ fn collect_args(
     args
 }
 
-// ---------------------------------------------------------------------
-// Serialisation (cache format). Short keys and omitted defaults keep the
-// cache file small: every reader uses `field_or`, so an absent field IS
-// its default — most calls have no tainted args, most fns no owner, and
-// skipping those empties shrinks the facts sidecar several-fold.
-// ---------------------------------------------------------------------
-
-/// Object builder that drops default-valued fields.
-struct Obj(Vec<(String, Json)>);
-
-impl Obj {
-    fn new() -> Self {
-        Obj(Vec::new())
-    }
-    fn put(&mut self, k: &str, v: Json) {
-        self.0.push((k.to_string(), v));
-    }
-    fn num(&mut self, k: &str, v: u64) {
-        if v != 0 {
-            self.put(k, Json::U64(v));
-        }
-    }
-    fn flag(&mut self, k: &str, v: bool) {
-        if v {
-            self.put(k, Json::Bool(true));
-        }
-    }
-    fn str(&mut self, k: &str, v: &str) {
-        if !v.is_empty() {
-            self.put(k, v.to_json());
-        }
-    }
-    fn strs(&mut self, k: &str, v: &[String]) {
-        if !v.is_empty() {
-            self.put(k, Json::Arr(v.iter().map(|s| s.to_json()).collect()));
-        }
-    }
-    fn nums(&mut self, k: &str, v: &[u64]) {
-        if !v.is_empty() {
-            self.put(k, Json::Arr(v.iter().map(|&i| Json::U64(i)).collect()));
-        }
-    }
-    fn arr<T: ToJson>(&mut self, k: &str, v: &[T]) {
-        if !v.is_empty() {
-            self.put(k, Json::Arr(v.iter().map(|x| x.to_json()).collect()));
-        }
-    }
-    fn json(self) -> Json {
-        Json::Obj(self.0)
-    }
-}
-
-impl ToJson for Finding {
-    fn to_json(&self) -> Json {
-        let mut o = Obj::new();
-        o.str("p", &self.pass);
-        o.str("r", &self.rule);
-        o.num("l", self.line as u64);
-        o.str("m", &self.message);
-        o.str("s", &self.symbol);
-        o.json()
-    }
-}
-
-impl FromJson for Finding {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Finding {
-            pass: v.field_or("p", String::new())?,
-            rule: v.field_or("r", String::new())?,
-            line: v.field_or("l", 0u64)? as u32,
-            message: v.field_or("m", String::new())?,
-            symbol: v.field_or("s", String::new())?,
-        })
-    }
-}
-
-impl ToJson for ArgFact {
-    fn to_json(&self) -> Json {
-        let mut o = Obj::new();
-        o.nums("p", &self.params);
-        o.strs("t", &self.tainted);
-        o.json()
-    }
-}
-
-impl FromJson for ArgFact {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ArgFact {
-            params: v.field_or("p", Vec::new())?,
-            tainted: v.field_or("t", Vec::new())?,
-        })
-    }
-}
-
-impl ToJson for CallFact {
-    fn to_json(&self) -> Json {
-        let mut o = Obj::new();
-        o.strs("f", &self.path);
-        o.flag("m", self.method);
-        o.num("l", self.line as u64);
-        o.arr("a", &self.args);
-        o.nums("rp", &self.recv_params);
-        o.strs("rt", &self.recv_tainted);
-        o.json()
-    }
-}
-
-impl FromJson for CallFact {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(CallFact {
-            path: v.field_or("f", Vec::new())?,
-            method: v.field_or("m", false)?,
-            line: v.field_or("l", 0u64)? as u32,
-            args: v.field_or("a", Vec::new())?,
-            recv_params: v.field_or("rp", Vec::new())?,
-            recv_tainted: v.field_or("rt", Vec::new())?,
-        })
-    }
-}
-
-impl ToJson for FnFact {
-    fn to_json(&self) -> Json {
-        let mut o = Obj::new();
-        o.str("n", &self.name);
-        o.str("o", &self.owner);
-        o.num("l", self.line as u64);
-        o.strs("p", &self.params);
-        o.flag("e", self.direct_emit);
-        o.flag("t", self.is_test);
-        o.arr("c", &self.calls);
-        o.json()
-    }
-}
-
-impl FromJson for FnFact {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(FnFact {
-            name: v.field_or("n", String::new())?,
-            owner: v.field_or("o", String::new())?,
-            line: v.field_or("l", 0u64)? as u32,
-            params: v.field_or("p", Vec::new())?,
-            direct_emit: v.field_or("e", false)?,
-            is_test: v.field_or("t", false)?,
-            calls: v.field_or("c", Vec::new())?,
-        })
-    }
-}
-
-impl ToJson for MapIterSite {
-    fn to_json(&self) -> Json {
-        let mut o = Obj::new();
-        o.num("f", self.fn_idx);
-        o.num("l", self.line as u64);
-        o.str("n", &self.name);
-        o.str("k", &self.kind);
-        o.str("h", &self.how);
-        o.json()
-    }
-}
-
-impl FromJson for MapIterSite {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(MapIterSite {
-            fn_idx: v.field_or("f", 0u64)?,
-            line: v.field_or("l", 0u64)? as u32,
-            name: v.field_or("n", String::new())?,
-            kind: v.field_or("k", String::new())?,
-            how: v.field_or("h", String::new())?,
-        })
-    }
-}
-
-impl ToJson for SchemaFact {
-    fn to_json(&self) -> Json {
-        let mut o = Obj::new();
-        o.str("y", &self.ty);
-        o.str("f", &self.field);
-        o.str("a", &self.access);
-        o.num("l", self.line as u64);
-        o.json()
-    }
-}
-
-impl FromJson for SchemaFact {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(SchemaFact {
-            ty: v.field_or("y", String::new())?,
-            field: v.field_or("f", String::new())?,
-            access: v.field_or("a", String::new())?,
-            line: v.field_or("l", 0u64)? as u32,
-        })
-    }
-}
-
-impl ToJson for AllowFact {
-    fn to_json(&self) -> Json {
-        let mut o = Obj::new();
-        o.num("l", self.line as u64);
-        o.strs("r", &self.rules);
-        o.str("w", &self.reason);
-        o.json()
-    }
-}
-
-impl FromJson for AllowFact {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(AllowFact {
-            line: v.field_or("l", 0u64)? as u32,
-            rules: v.field_or("r", Vec::new())?,
-            reason: v.field_or("w", String::new())?,
-        })
-    }
-}
-
-impl ToJson for UseFact {
-    fn to_json(&self) -> Json {
-        let mut o = Obj::new();
-        o.strs("f", &self.path);
-        o.str("a", &self.alias);
-        o.json()
-    }
-}
-
-impl FromJson for UseFact {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(UseFact {
-            path: v.field_or("f", Vec::new())?,
-            alias: v.field_or("a", String::new())?,
-        })
-    }
-}
-
-impl ToJson for FileFacts {
-    fn to_json(&self) -> Json {
-        let mut o = Obj::new();
-        o.str("rel", &self.rel);
-        o.str("crate", &self.crate_dir);
-        o.strs("module", &self.module);
-        o.flag("test", self.is_test_file);
-        o.arr("local", &self.local);
-        o.arr("allows", &self.allows);
-        o.arr("fns", &self.fns);
-        o.arr("map_iter", &self.map_iter);
-        o.arr("schema", &self.schema);
-        o.arr("uses", &self.uses);
-        o.json()
-    }
-}
-
-impl FromJson for FileFacts {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(FileFacts {
-            rel: v.field_or("rel", String::new())?,
-            crate_dir: v.field_or("crate", String::new())?,
-            module: v.field_or("module", Vec::new())?,
-            is_test_file: v.field_or("test", false)?,
-            local: v.field_or("local", Vec::new())?,
-            allows: v.field_or("allows", Vec::new())?,
-            fns: v.field_or("fns", Vec::new())?,
-            map_iter: v.field_or("map_iter", Vec::new())?,
-            schema: v.field_or("schema", Vec::new())?,
-            uses: v.field_or("uses", Vec::new())?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -738,16 +465,13 @@ mod tests {
     }
 
     #[test]
-    fn facts_round_trip_through_json() {
+    fn let_bound_taint_reaches_aliased_call_argument() {
         let src = "use simcore::par::shard_stream as derive;\n\
                    pub fn f(rng: &Rng, worker_idx: u64) -> Rng {\n\
                        let salt = worker_idx ^ 7;\n\
                        derive(1, salt)\n\
                    }\n";
         let facts = FileFacts::compute("crates/workload/src/driver.rs", src, &Options::workspace());
-        let json = simcore::json::to_string(&facts.to_json());
-        let back = FileFacts::from_json(&Json::parse(&json).unwrap()).unwrap();
-        assert_eq!(facts, back);
         assert_eq!(facts.fns.len(), 1);
         // `salt` is tainted through the let-binding and appears in the
         // second argument of the aliased call.

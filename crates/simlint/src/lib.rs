@@ -31,23 +31,20 @@
 //! that suppresses nothing is too (`stale-allow`) — suppressions cannot
 //! outlive the code they excuse.
 //!
-//! The pass runs in two stages. Per-file **fact extraction** ([`facts`])
-//! lexes a file once and records local findings plus everything the
-//! cross-file passes need (call sites with argument structure, taint
-//! sets, schema accesses, `use` declarations); being a pure function of
-//! file content and configuration, it is cached by content hash
-//! ([`cache`]). The **global passes** — symbol resolution and the
+//! Every run is one cold pass in two stages. Per-file **fact
+//! extraction** ([`facts`]) lexes each file once and records local
+//! findings plus everything the cross-file passes need (call sites with
+//! argument structure, taint sets, schema accesses, `use` declarations).
+//! The **global passes** — symbol resolution and the
 //! emission/parameter-flow fixpoints ([`resolve`]), seed-provenance taint
 //! ([`taint`]), the schema join ([`schema`]), and stale-allow detection —
-//! re-run whenever any input changed; when *nothing* changed, the whole
-//! report (itself a pure function of facts, manifests, and
-//! configuration) is replayed from the cache summary without parsing a
-//! single fact.
+//! then run over the full fact set. The whole workspace takes ~0.1–0.15 s
+//! on a two-core host (`crates/bench/benches/simlint.rs`), too little for
+//! a cache between runs to pay for its bookkeeping.
 //!
 //! The pass is std-only and builds on its own lightweight lexer
 //! ([`lexer`]) — consistent with the hermetic-workspace rule it enforces.
 
-pub mod cache;
 pub mod facts;
 pub mod floatsum;
 pub mod lexer;
@@ -59,7 +56,7 @@ pub mod source;
 pub mod taint;
 
 use facts::{FileFacts, Finding};
-use simcore::json::{FromJson, Json, JsonError, ToJson};
+use simcore::json::{Json, ToJson};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
@@ -215,42 +212,6 @@ impl Report {
     }
 }
 
-impl FromJson for Violation {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Violation {
-            rule: v.field_or("rule", String::new())?,
-            file: v.field_or("file", String::new())?,
-            line: v.field_or("line", 0u64)? as u32,
-            message: v.field_or("message", String::new())?,
-            pass: v.field_or("pass", String::new())?,
-            symbol: v.field_or("symbol", String::new())?,
-        })
-    }
-}
-
-impl FromJson for Suppressed {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Suppressed {
-            rule: v.field_or("rule", String::new())?,
-            file: v.field_or("file", String::new())?,
-            line: v.field_or("line", 0u64)? as u32,
-            reason: v.field_or("reason", String::new())?,
-        })
-    }
-}
-
-impl FromJson for Report {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        // `ok` and `counts` are derived views; only the substance reads
-        // back.
-        Ok(Report {
-            files_scanned: v.field_or("files_scanned", 0u64)? as usize,
-            violations: v.field_or("violations", Vec::new())?,
-            allowed: v.field_or("allowed", Vec::new())?,
-        })
-    }
-}
-
 /// Lint configuration. [`Options::workspace`] is what the binary and the
 /// verify gate use; tests construct variants to lint fixtures.
 #[derive(Clone, Debug)]
@@ -373,180 +334,35 @@ impl Options {
 /// lint's own known-bad test fixtures.
 const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures", "results", "node_modules"];
 
-/// Lint the tree rooted at `root` with the given options (no cache).
+/// Lint the tree rooted at `root` with the given options: read every
+/// file, extract its facts, and run the global passes over them.
 pub fn run(root: &Path, opts: &Options) -> io::Result<Report> {
-    run_impl(root, opts, None).map(|(report, _)| report)
-}
-
-/// Lint with the incremental cache at `cache_path`: when nothing
-/// changed the cached report is replayed outright; otherwise per-file
-/// facts are reused where content is unchanged and the global passes
-/// re-run over the full fact set.
-pub fn run_with_cache(
-    root: &Path,
-    opts: &Options,
-    cache_path: &Path,
-) -> io::Result<(Report, cache::Stats)> {
-    run_impl(root, opts, Some(cache_path))
-}
-
-fn run_impl(
-    root: &Path,
-    opts: &Options,
-    cache_path: Option<&Path>,
-) -> io::Result<(Report, cache::Stats)> {
     let mut rs = Vec::new();
     let mut manifests = Vec::new();
     walk(root, root, &mut rs, &mut manifests)?;
     rs.sort();
     manifests.sort();
 
-    // Manifests are few and tiny: read them up front. Their hashes take
-    // part in cache validation; their contents feed the hermeticity rule
-    // and the crate-dir → import-name map the resolver needs.
     let mut manifest_texts = Vec::with_capacity(manifests.len());
-    let mut manifest_shas: BTreeMap<String, String> = BTreeMap::new();
     for path in &manifests {
-        let rel = rel_of(root, path);
-        let text = fs::read_to_string(path)?;
-        manifest_shas.insert(rel.clone(), contenthash::sha256(text.as_bytes()).to_hex());
-        manifest_texts.push((rel, text));
+        manifest_texts.push((rel_of(root, path), fs::read_to_string(path)?));
     }
-
-    let mut stats = cache::Stats::default();
-
-    // No cache: read and compute everything.
-    let Some(cache_file) = cache_path else {
-        let mut all_facts = Vec::with_capacity(rs.len());
-        for path in &rs {
-            let rel = rel_of(root, path);
-            let text = fs::read_to_string(path)?;
-            all_facts.push(FileFacts::compute(&rel, &text, opts));
-        }
-        let report = finish(
-            rs.len() + manifests.len(),
-            &manifest_texts,
-            &all_facts,
-            opts,
-        );
-        return Ok((report, stats));
-    };
-
-    let digest = cache::config_digest(opts);
-    let old = cache::Summary::load(cache_file, &digest);
-
-    // Validate every `.rs` file against the summary: `(size, mtime)`
-    // fast path first, content hash on mismatch. `changed` keeps the
-    // text of files whose facts must recompute (already read for
-    // hashing).
-    let empty = cache::Summary::default();
-    let prior = old.as_ref().unwrap_or(&empty);
-    let mut metas: BTreeMap<String, cache::Meta> = BTreeMap::new();
-    let mut changed: BTreeMap<String, String> = BTreeMap::new();
-    let mut refreshed = false;
-    for path in &rs {
-        let rel = rel_of(root, path);
-        let (size, mtime_s, mtime_ns) = cache::file_validators(path)?;
-        if let Some(m) = prior.files.get(&rel) {
-            if m.size == size && m.mtime_s == mtime_s && m.mtime_ns == mtime_ns {
-                metas.insert(rel, m.clone());
-                continue;
-            }
-        }
-        let text = fs::read_to_string(path)?;
-        let sha = contenthash::sha256(text.as_bytes()).to_hex();
-        match prior.files.get(&rel) {
-            // Touched but unchanged: refresh the validators only.
-            Some(m) if m.sha == sha => refreshed = true,
-            _ => {
-                changed.insert(rel.clone(), text);
-            }
-        }
-        metas.insert(
-            rel,
-            cache::Meta {
-                size,
-                mtime_s,
-                mtime_ns,
-                sha,
-            },
-        );
-    }
-
-    // Warm short-circuit: same configuration, same file set, same
-    // contents, same manifests — the cached report is the answer and the
-    // facts sidecar is never parsed.
-    if let Some(prior) = &old {
-        if changed.is_empty()
-            && metas.len() == prior.files.len()
-            && manifest_shas == prior.manifests
-        {
-            stats.hits = rs.len();
-            let report = prior.report.clone();
-            if refreshed {
-                let fresh = cache::Summary {
-                    digest,
-                    files: metas,
-                    manifests: manifest_shas,
-                    report: report.clone(),
-                };
-                // Cache write failure only costs time next run, never results.
-                let _ = fresh.save(cache_file);
-            }
-            return Ok((report, stats));
-        }
-    }
-
-    // Incremental path: parse the facts sidecar, recompute only what
-    // changed (plus anything the sidecar is missing), re-run the global
-    // passes over the full fact set.
-    let sidecar = cache::sidecar_path(cache_file);
-    let mut old_facts = if old.is_some() {
-        cache::load_facts(&sidecar)
-    } else {
-        BTreeMap::new()
-    };
     let mut all_facts = Vec::with_capacity(rs.len());
-    let mut fresh_facts: BTreeMap<String, FileFacts> = BTreeMap::new();
     for path in &rs {
         let rel = rel_of(root, path);
-        let facts = if let Some(text) = changed.get(&rel) {
-            stats.misses += 1;
-            FileFacts::compute(&rel, text, opts)
-        } else if let Some(f) = old_facts.remove(&rel) {
-            stats.hits += 1;
-            f
-        } else {
-            // Validated but absent from the sidecar: recompute from
-            // source.
-            stats.misses += 1;
-            let text = fs::read_to_string(path)?;
-            FileFacts::compute(&rel, &text, opts)
-        };
-        fresh_facts.insert(rel, facts.clone());
-        all_facts.push(facts);
+        let text = fs::read_to_string(path)?;
+        all_facts.push(FileFacts::compute(&rel, &text, opts));
     }
-
-    let report = finish(
+    Ok(finish(
         rs.len() + manifests.len(),
         &manifest_texts,
         &all_facts,
         opts,
-    );
-    let fresh = cache::Summary {
-        digest,
-        files: metas,
-        manifests: manifest_shas,
-        report: report.clone(),
-    };
-    // Cache write failure only costs time next run, never results.
-    let _ = fresh.save(cache_file);
-    let _ = cache::save_facts(&sidecar, &fresh_facts);
-    Ok((report, stats))
+    ))
 }
 
 /// The global passes plus finding routing: everything downstream of the
-/// (cacheable) per-file facts.
+/// per-file facts.
 fn finish(
     files_scanned: usize,
     manifest_texts: &[(String, String)],

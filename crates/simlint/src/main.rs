@@ -2,45 +2,68 @@
 //! machine-readable report, and exit non-zero on any violation.
 //!
 //! ```text
-//! cargo run -p simlint --release [-- --root <dir>] [--report <path>] [--no-cache]
+//! cargo run -p simlint --release [-- --root <dir>] [--report <path>]
 //! ```
 //!
 //! `--root` defaults to the current directory (verify.sh runs from the
 //! repository root); `--report` defaults to `<root>/results/simlint_report.json`.
-//! The incremental cache lives at `<root>/target/simlint-cache.json`
-//! (plus a `.facts` sidecar), keyed by content hash — a fully-warm run
-//! replays the cached report without re-analysing anything (override the
-//! path with `--cache <path>`, disable with `--no-cache`).
+//! Every run is one cold pass over the whole tree. A flag without its
+//! value, or any other argument, prints usage and exits 2.
 
 use simcore::json;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-fn main() -> ExitCode {
-    let mut root: Option<PathBuf> = None;
-    let mut report_path: Option<PathBuf> = None;
-    let mut cache_path: Option<PathBuf> = None;
-    let mut use_cache = true;
-    let mut args = std::env::args().skip(1);
+const USAGE: &str = "usage: simlint [--root <dir>] [--report <path>]";
+
+/// What the command line asks for.
+#[derive(Debug, PartialEq, Eq)]
+enum Command {
+    /// Lint `root` and write the report to `report`; `None` means the
+    /// default.
+    Lint {
+        root: Option<PathBuf>,
+        report: Option<PathBuf>,
+    },
+    /// Print usage and exit 0.
+    Help,
+}
+
+/// Parse the arguments after the program name. A flag's value is the next
+/// argument unless that is missing or itself starts with `-`; `Err` holds
+/// the message printed above the usage line.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
+    let mut root = None;
+    let mut report = None;
+    let mut args = args.into_iter().peekable();
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--root" => root = args.next().map(PathBuf::from),
-            "--report" => report_path = args.next().map(PathBuf::from),
-            "--cache" => cache_path = args.next().map(PathBuf::from),
-            "--no-cache" => use_cache = false,
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: simlint [--root <dir>] [--report <path>] [--cache <path>] [--no-cache]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("simlint: unknown argument `{other}`");
-                return ExitCode::from(2);
-            }
+        let slot = match arg.as_str() {
+            "--root" => &mut root,
+            "--report" => &mut report,
+            "--help" | "-h" => return Ok(Command::Help),
+            other => return Err(format!("unknown argument `{other}`")),
+        };
+        match args.next_if(|v| !v.starts_with('-')) {
+            Some(value) => *slot = Some(PathBuf::from(value)),
+            None => return Err(format!("`{arg}` needs a value")),
         }
     }
+    Ok(Command::Lint { root, report })
+}
+
+fn main() -> ExitCode {
+    let (root, report_path) = match parse_args(std::env::args().skip(1)) {
+        Ok(Command::Lint { root, report }) => (root, report),
+        Ok(Command::Help) => {
+            eprintln!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(msg) => {
+            eprintln!("simlint: {msg}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let root = match root {
         Some(r) => r,
         None => match std::env::current_dir() {
@@ -52,16 +75,9 @@ fn main() -> ExitCode {
         },
     };
     let report_path = report_path.unwrap_or_else(|| root.join("results/simlint_report.json"));
-    let cache_path = cache_path.unwrap_or_else(|| root.join("target/simlint-cache.json"));
 
-    let opts = simlint::Options::workspace();
     let started = Instant::now();
-    let outcome = if use_cache {
-        simlint::run_with_cache(&root, &opts, &cache_path).map(|(r, s)| (r, Some(s)))
-    } else {
-        simlint::run(&root, &opts).map(|r| (r, None))
-    };
-    let (report, stats) = match outcome {
+    let report = match simlint::run(&root, &simlint::Options::workspace()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("simlint: failed to scan {}: {e}", root.display());
@@ -71,18 +87,7 @@ fn main() -> ExitCode {
     let elapsed = started.elapsed();
 
     print!("{}", report.render());
-    match stats {
-        Some(s) => eprintln!(
-            "simlint: {:.1} ms ({} cached, {} analysed)",
-            elapsed.as_secs_f64() * 1e3,
-            s.hits,
-            s.misses
-        ),
-        None => eprintln!(
-            "simlint: {:.1} ms (cache disabled)",
-            elapsed.as_secs_f64() * 1e3
-        ),
-    }
+    eprintln!("simlint: {:.1} ms", elapsed.as_secs_f64() * 1e3);
 
     if let Some(parent) = report_path.parent() {
         if let Err(e) = std::fs::create_dir_all(parent) {
@@ -101,5 +106,59 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Command, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    fn lint(root: Option<&str>, report: Option<&str>) -> Result<Command, String> {
+        Ok(Command::Lint {
+            root: root.map(PathBuf::from),
+            report: report.map(PathBuf::from),
+        })
+    }
+
+    #[test]
+    fn flags_are_optional_and_take_their_values_in_any_order() {
+        assert_eq!(parse(&[]), lint(None, None));
+        assert_eq!(parse(&["--root", "tree"]), lint(Some("tree"), None));
+        assert_eq!(
+            parse(&["--report", "out.json", "--root", "tree"]),
+            lint(Some("tree"), Some("out.json"))
+        );
+    }
+
+    #[test]
+    fn flag_without_value_is_a_usage_error() {
+        for args in [
+            &["--root"][..],
+            &["--report"],
+            &["--root", "--report", "out.json"],
+            &["--report", "-h"],
+            &["--root", "tree", "--report"],
+        ] {
+            let err = parse(args).expect_err(&format!("{args:?} must not parse"));
+            assert!(err.ends_with("needs a value"), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn unknown_and_removed_arguments_are_usage_errors() {
+        for args in [&["tree"][..], &["--verbose"], &["--cache", "c.json"]] {
+            let err = parse(args).expect_err(&format!("{args:?} must not parse"));
+            assert!(err.starts_with("unknown argument"), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn help_wins_over_later_arguments() {
+        assert_eq!(parse(&["-h"]), Ok(Command::Help));
+        assert_eq!(parse(&["--help", "--bogus"]), Ok(Command::Help));
     }
 }

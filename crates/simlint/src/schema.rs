@@ -9,9 +9,9 @@
 //! (`field(name)`) unless the `(type, field)` pair is grandfathered in the
 //! baseline compiled into [`crate::Options`].
 //!
-//! The rule is split for the incremental cache: [`collect_facts`] runs
-//! per file (cacheable), [`check_facts`] joins the accesses workspace-wide
-//! (always re-run, cheap).
+//! The rule is split like the rest of the pass: [`collect_facts`] runs
+//! per file during fact extraction, [`check_facts`] joins the accesses
+//! workspace-wide.
 
 use crate::facts::{Finding, SchemaFact};
 use crate::lexer::TokKind;

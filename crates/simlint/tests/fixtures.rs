@@ -310,60 +310,3 @@ fn report_json_carries_rule_provenance() {
     assert!(j.contains("\"pass\":\"taint\""));
     assert!(j.contains("\"symbol\":\"simcore::par::household_stream\""));
 }
-
-#[test]
-fn incremental_cache_reuses_and_invalidates() {
-    // Copy a fixture into a scratch tree so mtime/content changes don't
-    // touch the committed fixtures.
-    let src = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/taint");
-    let scratch = std::env::temp_dir().join(format!("simlint-cache-it-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    copy_tree(&src, &scratch);
-    let cache = scratch.join("cache.json");
-
-    let opts = Options::workspace();
-    let (cold, s1) = simlint::run_with_cache(&scratch, &opts, &cache).expect("cold run");
-    assert_eq!(s1.hits, 0);
-    assert!(s1.misses >= 5, "{s1:?}");
-
-    let (warm, s2) = simlint::run_with_cache(&scratch, &opts, &cache).expect("warm run");
-    assert_eq!(s2.misses, 0, "{s2:?}");
-    assert_eq!(s2.hits, s1.misses);
-    assert_eq!(
-        simcore::json::to_string(&cold.to_json()),
-        simcore::json::to_string(&warm.to_json()),
-        "cached facts must reproduce the report byte-for-byte"
-    );
-
-    // Edit one file: exactly that file re-analyses, and the cross-file
-    // passes see the change (the aliased violation disappears).
-    let edited = scratch.join("crates/workload/src/lib.rs");
-    let text = std::fs::read_to_string(&edited).unwrap();
-    std::fs::write(
-        &edited,
-        text.replace("stream(rng, worker_idx)", "stream(rng, household_id)"),
-    )
-    .unwrap();
-    let (third, s3) = simlint::run_with_cache(&scratch, &opts, &cache).expect("edited run");
-    assert_eq!(s3.misses, 1, "{s3:?}");
-    assert_eq!(s3.hits, s1.misses - 1);
-    assert!(
-        third.violations.len() < cold.violations.len(),
-        "edit must flow through the cached run: {:?}",
-        third.violations
-    );
-    let _ = std::fs::remove_dir_all(&scratch);
-}
-
-fn copy_tree(src: &std::path::Path, dst: &std::path::Path) {
-    std::fs::create_dir_all(dst).unwrap();
-    for entry in std::fs::read_dir(src).unwrap() {
-        let entry = entry.unwrap();
-        let to = dst.join(entry.file_name());
-        if entry.path().is_dir() {
-            copy_tree(&entry.path(), &to);
-        } else {
-            std::fs::copy(entry.path(), &to).unwrap();
-        }
-    }
-}

@@ -28,11 +28,9 @@ done < <({ git ls-files 'results/*.csv'; \
            git diff --cached --name-only --diff-filter=AM -- 'results/*.csv'; } | sort -u)
 
 # Determinism & hermeticity lint: hard gate, exits non-zero on any
-# violation and writes results/simlint_report.json. Runs twice: the
-# second run must be served entirely from the warm incremental cache
-# (target/simlint-cache.json) and still reproduce the committed report
-# byte-for-byte — catching both lint regressions and cache unsoundness.
-cargo run --release --offline -p simlint
+# violation and writes results/simlint_report.json, which must reproduce
+# the committed report byte-for-byte — so a new violation, a new or moved
+# allow, or a file added without regenerating the report all fail here.
 cargo run --release --offline -p simlint
 git diff --exit-code -- results/simlint_report.json
 # Suppressions must not outlive the code they excuse: any stale-allow in
