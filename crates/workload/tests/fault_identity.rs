@@ -11,16 +11,26 @@
 //!
 //! An *active* plan, in turn, must stay a pure function of its inputs:
 //! the same `(config, seed, plan)` triple serialises to identical JSONL
-//! on every run.
+//! on every run. The lossy and chaos pins below hold the fault path itself
+//! to constants — resets, retries, outage backoffs, offline queueing and
+//! the reconnect storm — so a refactor of that path cannot move a byte
+//! unnoticed either.
 
 use dropbox::client::ClientVersion;
 use nettrace::FlowRecord;
-use workload::{simulate_vantage, FaultPlan, SimOutput, VantageConfig, VantageKind};
+use workload::{
+    simulate_vantage, simulate_vantage_audited, FaultPlan, FaultStats, OutageKnobs, SimOutput,
+    VantageConfig, VantageKind,
+};
 
-fn run(kind: VantageKind, plan: &FaultPlan) -> SimOutput {
+fn config(kind: VantageKind) -> VantageConfig {
     let mut config = VantageConfig::paper(kind, 0.02);
     config.days = 7;
-    simulate_vantage(&config, ClientVersion::V1_2_52, 42, plan)
+    config
+}
+
+fn run(kind: VantageKind, plan: &FaultPlan) -> SimOutput {
+    simulate_vantage(&config(kind), ClientVersion::V1_2_52, 42, plan)
 }
 
 /// FNV-1a over the shape-defining fields of every record, in order.
@@ -74,4 +84,62 @@ fn lossy_plan_is_deterministic_down_to_the_serialised_bytes() {
         "faulty runs must serialise identically"
     );
     assert!(a.fault_stats.sync_retries > 0 || a.fault_stats.aborted_flows > 0);
+}
+
+#[test]
+fn lossy_plan_reproduces_the_pinned_capture() {
+    let campus = run(VantageKind::Campus1, &FaultPlan::lossy(7, 7));
+    assert_eq!(campus.dataset.flows.len(), 853);
+    let bytes: u64 = campus.dataset.flows.iter().map(|f| f.total_bytes()).sum();
+    assert_eq!(bytes, 26_200_335_285);
+    assert_eq!(digest(&campus.dataset.flows), 0x9c467ba8f8e75692);
+    assert_eq!(
+        campus.fault_stats,
+        FaultStats {
+            sync_retries: 32,
+            aborted_flows: 32,
+            notify_aborts: 7,
+            reconnect_attempts: 0,
+            reconnects: 0,
+            fallback_polls: 0,
+            offline_commits: 0,
+        }
+    );
+}
+
+#[test]
+fn audited_chaos_plan_reproduces_the_pinned_capture() {
+    // Seed 13 is one whose metadata outages catch local commits, so the
+    // offline queue and its deferred flushes are pinned too.
+    let plan = FaultPlan::chaos(13, 7, &OutageKnobs::default());
+    let (home, audit) = simulate_vantage_audited(
+        &config(VantageKind::Home1),
+        ClientVersion::V1_2_52,
+        42,
+        &plan,
+    );
+    assert_eq!(home.dataset.flows.len(), 10_466);
+    let bytes: u64 = home.dataset.flows.iter().map(|f| f.total_bytes()).sum();
+    assert_eq!(bytes, 1_014_207_902_528);
+    assert_eq!(digest(&home.dataset.flows), 0xb83cfd3f1d6fffcf);
+    assert_eq!(
+        home.fault_stats,
+        FaultStats {
+            sync_retries: 116,
+            aborted_flows: 113,
+            notify_aborts: 113,
+            reconnect_attempts: 329,
+            reconnects: 51,
+            fallback_polls: 144,
+            offline_commits: 3,
+        }
+    );
+    assert_eq!(audit.commit_count(), 809);
+    assert_eq!(audit.commits().iter().filter(|c| c.deferred).count(), 5);
+    let violations = workload::oracle::check(&audit);
+    assert!(
+        violations.is_empty(),
+        "oracle violations: {:?}",
+        violations.iter().map(|v| v.render()).collect::<Vec<_>>()
+    );
 }
