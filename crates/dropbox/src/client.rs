@@ -139,9 +139,9 @@ impl RetryPolicy {
     }
 }
 
-/// Flows produced by a fault-aware transaction, each with the offset from
-/// the transaction start at which it should be played, plus recovery
-/// counters for the run's fault statistics.
+/// Flows of one sync transaction, each with the offset from the
+/// transaction start at which it should be played, plus recovery counters
+/// for the run's fault statistics (all zero under [`FaultPlan::none`]).
 #[derive(Debug, Default)]
 pub struct RecoveryOutcome {
     /// `(offset, flow)` pairs in play order; offsets accumulate backoffs.
@@ -271,72 +271,22 @@ impl<'a> SyncEngine<'a> {
         ]
     }
 
-    /// Build the flows of one *upload* synchronisation transaction.
-    ///
-    /// `chunks` are the chunk versions the client wants to commit. The
-    /// meta-data side answers `need_blocks` (deduplicated against the
-    /// global store); only the missing chunks are uploaded, in transactions
-    /// of at most 100 chunks, each on its own storage connection. Returns
-    /// the control and storage flows in order. The chunks are inserted
-    /// into the store (they are on the wire; arrival is certain in-model).
+    /// The flows of one *upload* transaction on a fault-free network, in
+    /// play order: [`SyncEngine::upload_transaction_faulty`] under
+    /// [`FaultPlan::none`], where every flow plays at the transaction
+    /// start. `trace`, when given, records the ladder at `trace_t0`.
     pub fn upload_transaction(
         &mut self,
         chunks: &[ChunkWork],
         day: u32,
         rng: &mut Rng,
-        mut trace: Option<&mut ProtocolTrace>,
+        trace: Option<&mut ProtocolTrace>,
         trace_t0: SimTime,
     ) -> Vec<FlowSpec> {
-        let mut flows = Vec::new();
-        if chunks.is_empty() {
-            return flows;
-        }
-
-        // commit_batch on the meta side; response sized by the hash list.
-        let all_ids: Vec<(ChunkId, u64)> = chunks.iter().map(|c| (c.id, c.raw_bytes)).collect();
-        let commit_req = 400 + 70 * chunks.len() as u32;
-        if let Some(t) = trace.as_deref_mut() {
-            t.record(
-                trace_t0,
-                Sender::Client,
-                Command::CommitBatch {
-                    hashes: all_ids.iter().map(|&(id, _)| id).collect(),
-                },
-            );
-        }
-        let needed_ids = self.need_blocks(&all_ids);
-        if let Some(t) = trace.as_deref_mut() {
-            t.record(
-                trace_t0,
-                Sender::Server,
-                Command::NeedBlocks {
-                    hashes: needed_ids.clone(),
-                },
-            );
-        }
-        let need_resp = 200 + 70 * needed_ids.len() as u32;
-        flows.push(self.control_flow(true, &[(commit_req, need_resp)], rng));
-
-        let needed: Vec<ChunkWork> = chunks
-            .iter()
-            .filter(|c| needed_ids.contains(&c.id))
-            .copied()
-            .collect();
-
-        for batch in needed.chunks(Command::MAX_CHUNKS_PER_BATCH) {
-            flows.push(self.store_flow(batch, day, rng, trace.as_deref_mut(), trace_t0));
-            for c in batch {
-                self.store.put(c.id, c.raw_bytes);
-            }
-        }
-
-        // close_changeset back on the meta side.
-        if let Some(t) = trace {
-            t.record(trace_t0, Sender::Client, Command::CloseChangeset);
-            t.record(trace_t0, Sender::Server, Command::Ok);
-        }
-        flows.push(self.control_flow(true, &[(260, 180)], rng));
-        flows
+        let none = FaultPlan::none();
+        let policy = RetryPolicy::default();
+        let out = self.upload_transaction_faulty(chunks, day, trace_t0, &none, &policy, rng, trace);
+        out.flows.into_iter().map(|(_, spec)| spec).collect()
     }
 
     /// One storage connection uploading a batch (≤ 100 chunks). Public so
@@ -407,13 +357,27 @@ impl<'a> SyncEngine<'a> {
         }
     }
 
-    /// Fault-aware counterpart of [`SyncEngine::upload_transaction`]: the
-    /// client backs off while the servers are inside an outage window,
-    /// storage connections may be cut mid-transfer by the plan's reset
-    /// probability, and after every cut the client *resumes*: chunks whose
-    /// store operation was fully acknowledged before the reset are
-    /// committed and only the uncommitted remainder is re-offered on a
-    /// fresh connection. Flow offsets accumulate the backoff delays.
+    /// Build the flows of one *upload* synchronisation transaction under
+    /// `plan`, each with its offset from the transaction start `at`.
+    ///
+    /// `chunks` are the chunk versions the client wants to commit. While
+    /// the servers are inside an outage window, each `commit_batch` is
+    /// refused with a short error exchange (the 5xx answer) and the client
+    /// backs off per `policy`. The meta-data side then answers
+    /// `need_blocks` (deduplicated against the global store), and only the
+    /// missing chunks are uploaded, in transactions of at most 100 chunks,
+    /// each on its own storage connection; `close_changeset` ends the
+    /// ladder. A connection cut by the plan's reset probability commits
+    /// the chunks acknowledged before the cut, and after a backoff the
+    /// client *resumes*, re-offering only the uncommitted remainder on a
+    /// fresh connection. Committed chunks are inserted into the store.
+    ///
+    /// Under [`FaultPlan::none`] no window is open and no reset is drawn,
+    /// so every offset is zero and `rng` sees only the ladder's own draws.
+    /// `trace`, when given, records the completed ladder's commands at
+    /// `at` plus their offset; refused commits and cut connections are not
+    /// recorded.
+    #[allow(clippy::too_many_arguments)]
     pub fn upload_transaction_faulty(
         &mut self,
         chunks: &[ChunkWork],
@@ -422,6 +386,7 @@ impl<'a> SyncEngine<'a> {
         plan: &FaultPlan,
         policy: &RetryPolicy,
         rng: &mut Rng,
+        mut trace: Option<&mut ProtocolTrace>,
     ) -> RecoveryOutcome {
         let mut out = RecoveryOutcome::default();
         if chunks.is_empty() {
@@ -430,8 +395,6 @@ impl<'a> SyncEngine<'a> {
         let mut offset = SimDuration::ZERO;
         let commit_req = 400 + 70 * chunks.len() as u32;
 
-        // Outage windows: each refused commit is a short error exchange
-        // (the 5xx answer), then the client backs off and retries.
         let mut attempt = 0u32;
         while attempt < policy.max_attempts && !plan.server_available(at + offset) {
             out.flows
@@ -441,9 +404,15 @@ impl<'a> SyncEngine<'a> {
             attempt += 1;
         }
 
-        // commit_batch → need_blocks, deduplicated against the store.
+        // commit_batch → need_blocks; the response is sized by the hash list.
         let all_ids: Vec<(ChunkId, u64)> = chunks.iter().map(|c| (c.id, c.raw_bytes)).collect();
         let needed_ids = self.need_blocks(&all_ids);
+        if let Some(t) = trace.as_deref_mut() {
+            let hashes = all_ids.iter().map(|&(id, _)| id).collect();
+            t.record(at + offset, Sender::Client, Command::CommitBatch { hashes });
+            let hashes = needed_ids.clone();
+            t.record(at + offset, Sender::Server, Command::NeedBlocks { hashes });
+        }
         let need_resp = 200 + 70 * needed_ids.len() as u32;
         out.flows.push((
             offset,
@@ -459,11 +428,11 @@ impl<'a> SyncEngine<'a> {
         let mut attempt = 0u32;
         while !remaining.is_empty() {
             let batch_len = remaining.len().min(Command::MAX_CHUNKS_PER_BATCH);
-            let batch: Vec<ChunkWork> = remaining[..batch_len].to_vec();
+            let batch = &remaining[..batch_len];
             let abort =
                 attempt < policy.max_attempts && plan.reset_p > 0.0 && rng.chance(plan.reset_p);
             if abort {
-                let (spec, committed) = self.store_flow_aborted(&batch, day, rng);
+                let (spec, committed) = self.store_flow_aborted(batch, day, rng);
                 for c in &committed {
                     self.store.put(c.id, c.raw_bytes);
                 }
@@ -479,8 +448,8 @@ impl<'a> SyncEngine<'a> {
                 out.flows
                     .push((offset, self.control_flow(true, &[(260, reoffer_resp)], rng)));
             } else {
-                let spec = self.store_flow(&batch, day, rng, None, SimTime::EPOCH);
-                for c in &batch {
+                let spec = self.store_flow(batch, day, rng, trace.as_deref_mut(), at + offset);
+                for c in batch {
                     self.store.put(c.id, c.raw_bytes);
                 }
                 remaining.drain(..batch_len);
@@ -489,6 +458,10 @@ impl<'a> SyncEngine<'a> {
         }
 
         // close_changeset back on the meta side.
+        if let Some(t) = trace {
+            t.record(at + offset, Sender::Client, Command::CloseChangeset);
+            t.record(at + offset, Sender::Server, Command::Ok);
+        }
         out.flows
             .push((offset, self.control_flow(true, &[(260, 180)], rng)));
         out
@@ -546,10 +519,23 @@ impl<'a> SyncEngine<'a> {
         (spec, committed)
     }
 
-    /// Fault-aware counterpart of [`SyncEngine::download_transaction`]:
-    /// retrieve connections may be cut mid-transfer, in which case the
-    /// whole batch is re-fetched after a backoff (retrieves are
-    /// idempotent — nothing is committed by a truncated download).
+    /// Build the flows of one *download* synchronisation transaction
+    /// (after `list` reported remote changes) under `plan`, each with its
+    /// offset from the transaction start `at`.
+    ///
+    /// While the servers are inside an outage window, each `list` is
+    /// refused with a short error exchange and the client backs off per
+    /// `policy`. Chunks are then fetched in transactions of at most 100,
+    /// each on its own storage connection. A connection cut by the plan's
+    /// reset probability is re-fetched whole after a backoff: retrieves
+    /// are idempotent, so a truncated download commits nothing.
+    ///
+    /// Under [`FaultPlan::none`] no window is open and no reset is drawn,
+    /// so every offset is zero and `rng` sees only the ladder's own draws.
+    /// `trace`, when given, records the completed ladder's commands at
+    /// `at` plus their offset; refused lists and cut connections are not
+    /// recorded.
+    #[allow(clippy::too_many_arguments)]
     pub fn download_transaction_faulty(
         &mut self,
         chunks: &[ChunkWork],
@@ -558,6 +544,7 @@ impl<'a> SyncEngine<'a> {
         plan: &FaultPlan,
         policy: &RetryPolicy,
         rng: &mut Rng,
+        mut trace: Option<&mut ProtocolTrace>,
     ) -> RecoveryOutcome {
         let mut out = RecoveryOutcome::default();
         if chunks.is_empty() {
@@ -573,6 +560,9 @@ impl<'a> SyncEngine<'a> {
             out.retries += 1;
             offset += policy.backoff(attempt, rng);
             attempt += 1;
+        }
+        if let Some(t) = trace.as_deref_mut() {
+            t.record(at + offset, Sender::Client, Command::List);
         }
         out.flows
             .push((offset, self.control_flow(false, &[(340, list_resp)], rng)));
@@ -594,40 +584,10 @@ impl<'a> SyncEngine<'a> {
                 offset += policy.backoff(attempt, rng);
                 attempt += 1;
             }
-            out.flows.push((
-                offset,
-                self.retrieve_flow(batch, day, rng, None, SimTime::EPOCH),
-            ));
+            let spec = self.retrieve_flow(batch, day, rng, trace.as_deref_mut(), at + offset);
+            out.flows.push((offset, spec));
         }
         out
-    }
-
-    /// Build the flows of one *download* synchronisation transaction
-    /// (after `list` reported remote changes). Chunks are fetched in
-    /// transactions of at most 100, each on its own storage connection.
-    pub fn download_transaction(
-        &mut self,
-        chunks: &[ChunkWork],
-        day: u32,
-        rng: &mut Rng,
-        mut trace: Option<&mut ProtocolTrace>,
-        trace_t0: SimTime,
-    ) -> Vec<FlowSpec> {
-        let mut flows = Vec::new();
-        if chunks.is_empty() {
-            return flows;
-        }
-        // The triggering `list` exchange.
-        let list_resp = 400 + 90 * chunks.len() as u32;
-        if let Some(t) = trace.as_deref_mut() {
-            t.record(trace_t0, Sender::Client, Command::List);
-        }
-        flows.push(self.control_flow(false, &[(340, list_resp)], rng));
-
-        for batch in chunks.chunks(Command::MAX_CHUNKS_PER_BATCH) {
-            flows.push(self.retrieve_flow(batch, day, rng, trace.as_deref_mut(), trace_t0));
-        }
-        flows
     }
 
     /// One storage connection downloading a batch (≤ 100 chunks).
@@ -954,10 +914,19 @@ mod tests {
         let mut eng = engine_with(&dns, &store, ClientVersion::V1_2_52);
         let chunks = [chunkw(1, 10_000), chunkw(2, 12_000)];
         let mut rng = Rng::new(5);
-        let flows = eng.download_transaction(&chunks, 0, &mut rng, None, SimTime::EPOCH);
-        let rf = flows
+        let out = eng.download_transaction_faulty(
+            &chunks,
+            0,
+            SimTime::EPOCH,
+            &FaultPlan::none(),
+            &RetryPolicy::default(),
+            &mut rng,
+            None,
+        );
+        let (_, rf) = out
+            .flows
             .iter()
-            .find(|f| matches!(f.truth, FlowTruth::Retrieve { .. }))
+            .find(|(_, f)| matches!(f.truth, FlowTruth::Retrieve { .. }))
             .unwrap();
         let up_requests: Vec<&Message> = rf
             .dialogue
@@ -1087,6 +1056,7 @@ mod tests {
             &plan,
             &policy,
             &mut rng,
+            None,
         );
         assert!(out.aborted_flows > 0, "reset_p 0.7 must cut something");
         assert_eq!(out.retries, out.aborted_flows, "no outage in this plan");
@@ -1128,6 +1098,7 @@ mod tests {
             &FaultPlan::none(),
             &RetryPolicy::default(),
             &mut rng,
+            None,
         );
         assert_eq!(out.retries, 0);
         assert_eq!(out.aborted_flows, 0);
@@ -1156,6 +1127,7 @@ mod tests {
             &plan,
             &RetryPolicy::default(),
             &mut rng,
+            None,
         );
         assert!(out.retries > 0, "commit must be refused at least once");
         assert_eq!(out.aborted_flows, 0);
@@ -1184,6 +1156,7 @@ mod tests {
             &plan,
             &RetryPolicy::default(),
             &mut rng,
+            None,
         );
         assert!(out.aborted_flows > 0);
         // The final retrieve of each batch is clean and carries the full
@@ -1196,6 +1169,38 @@ mod tests {
             .unwrap();
         assert!(last_retrieve.faults.is_none());
         assert_eq!(last_retrieve.truth.chunks(), Some(5));
+    }
+
+    #[test]
+    fn download_trace_records_the_completed_ladder_after_the_outage() {
+        let dns = DnsDirectory::new();
+        let store = ChunkStore::new();
+        let mut eng = engine_with(&dns, &store, ClientVersion::V1_2_52);
+        let chunks = [chunkw(1, 10_000), chunkw(2, 12_000)];
+        let start = SimTime::from_secs(1_000);
+        let plan = FaultPlan {
+            outages: vec![(SimTime::from_secs(900), SimTime::from_secs(1_010))],
+            ..FaultPlan::none()
+        };
+        let mut trace = ProtocolTrace::new();
+        let out = eng.download_transaction_faulty(
+            &chunks,
+            0,
+            start,
+            &plan,
+            &RetryPolicy::default(),
+            &mut Rng::new(15),
+            Some(&mut trace),
+        );
+        assert!(out.retries > 0, "the list must be refused at least once");
+        // Refused lists are not traced; the ladder is stamped when it ran.
+        assert_eq!(
+            trace.ladder(),
+            vec!["list", "retrieve", "ok", "retrieve", "ok"]
+        );
+        let ran_at = start + out.flows.last().unwrap().0;
+        assert!(ran_at > start);
+        assert!(trace.entries().iter().all(|e| e.at == ran_at));
     }
 
     #[test]

@@ -103,42 +103,6 @@ impl Namespace {
     }
 }
 
-/// Which instance of the metadata plane is serving requests.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ServingMode {
-    /// The primary: reads are fresh, commits are accepted.
-    #[default]
-    Primary,
-    /// A warm replica during a primary outage: reads are served from the
-    /// replication snapshot (stale by the configured lag), commits are
-    /// refused until the primary is restored.
-    Replica,
-}
-
-/// How far the warm replica trails the primary when a failover happens.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReplicaConfig {
-    /// Journal entries per namespace not yet replicated at failover time:
-    /// the snapshot freezes `lag_entries` behind the primary's sequence.
-    pub lag_entries: u64,
-}
-
-impl Default for ReplicaConfig {
-    fn default() -> Self {
-        ReplicaConfig { lag_entries: 2 }
-    }
-}
-
-/// Why a metadata commit was refused.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CommitError {
-    /// The replica is serving and is read-only during the handover
-    /// window: clients must queue the change and retry after restore.
-    ReplicaReadOnly,
-    /// No such namespace.
-    UnknownNamespace,
-}
-
 /// The whole meta-data plane.
 #[derive(Clone, Debug, Default)]
 pub struct MetadataServer {
@@ -148,12 +112,6 @@ pub struct MetadataServer {
     /// Account registry: which devices belong to each user.
     users: BTreeMap<UserId, Vec<HostInt>>,
     next_ns: u64,
-    /// Who is serving: the primary, or the warm replica during failover.
-    mode: ServingMode,
-    /// Per-namespace journal sequence the replica had replicated when the
-    /// failover happened; reads during the handover window are truncated
-    /// to this snapshot (the explicit stale-read semantics).
-    frozen: BTreeMap<NamespaceId, u64>,
 }
 
 impl MetadataServer {
@@ -240,86 +198,6 @@ impl MetadataServer {
     /// Shared namespace access.
     pub fn namespace(&self, ns: NamespaceId) -> Option<&Namespace> {
         self.namespaces.get(&ns)
-    }
-
-    /// Fail over to the warm replica: freeze each namespace's visible
-    /// journal at `lag_entries` behind the primary's current sequence.
-    /// Until [`MetadataServer::restore`], reads are served from this
-    /// snapshot and commits are refused ([`CommitError::ReplicaReadOnly`]).
-    /// Idempotent:
-    /// failing over twice keeps the first snapshot (the replica does not
-    /// advance while it serves).
-    pub fn fail_over(&mut self, cfg: &ReplicaConfig) {
-        if self.mode == ServingMode::Replica {
-            return;
-        }
-        self.mode = ServingMode::Replica;
-        self.frozen = self
-            .namespaces
-            .iter()
-            .map(|(&ns, n)| (ns, n.seq().saturating_sub(cfg.lag_entries)))
-            .collect();
-    }
-
-    /// Hand back to the recovered primary: fresh reads, commits accepted.
-    pub fn restore(&mut self) {
-        self.mode = ServingMode::Primary;
-        self.frozen.clear();
-    }
-
-    /// Who is currently serving.
-    pub fn mode(&self) -> ServingMode {
-        self.mode
-    }
-
-    /// Commit a new file version through the serving instance. On the
-    /// primary this is [`Namespace::commit`]; the replica refuses writes
-    /// during the handover window so the journals cannot fork.
-    pub fn try_commit(
-        &mut self,
-        ns: NamespaceId,
-        file: FileId,
-        content: Content,
-        chunk_ids: Vec<ChunkId>,
-    ) -> Result<u64, CommitError> {
-        if self.mode == ServingMode::Replica {
-            return Err(CommitError::ReplicaReadOnly);
-        }
-        match self.namespaces.get_mut(&ns) {
-            Some(n) => Ok(n.commit(file, content, chunk_ids)),
-            None => Err(CommitError::UnknownNamespace),
-        }
-    }
-
-    /// The journal entries after `cursor` that the *serving instance* can
-    /// see, plus whether the answer was stale. On the primary this equals
-    /// [`Namespace::updates_since`]; on the replica the answer is
-    /// truncated to the frozen replication snapshot — entries committed
-    /// within the lag window exist on the (down) primary but are not yet
-    /// visible, the explicit stale-read semantics of the handover.
-    pub fn visible_updates(&self, ns: NamespaceId, cursor: u64) -> Option<(Vec<&FileEntry>, bool)> {
-        let n = self.namespaces.get(&ns)?;
-        let fresh = n.updates_since(cursor);
-        if self.mode == ServingMode::Primary {
-            return Some((fresh, false));
-        }
-        let horizon = self.frozen.get(&ns).copied().unwrap_or(0);
-        let visible: Vec<&FileEntry> = fresh
-            .into_iter()
-            .filter(|e| e.journal_seq <= horizon)
-            .collect();
-        let stale = n.seq() > horizon;
-        Some((visible, stale))
-    }
-
-    /// The journal sequence the serving instance advertises for `ns`: the
-    /// live sequence on the primary, the frozen snapshot on the replica.
-    pub fn visible_seq(&self, ns: NamespaceId) -> Option<u64> {
-        let n = self.namespaces.get(&ns)?;
-        Some(match self.mode {
-            ServingMode::Primary => n.seq(),
-            ServingMode::Replica => self.frozen.get(&ns).copied().unwrap_or(0),
-        })
     }
 
     /// All devices linked to a namespace (for change propagation).
@@ -410,54 +288,6 @@ mod tests {
         // Device 20 now advertises two namespaces in its notify requests.
         assert_eq!(md.namespaces_of(HostInt(20)).len(), 2);
         assert!(!md.link_namespace(HostInt(20), NamespaceId(9999)));
-    }
-
-    #[test]
-    fn failover_serves_stale_reads_and_refuses_commits() {
-        let mut md = MetadataServer::new();
-        let root = md.register_host(UserId(1), HostInt(10));
-        for i in 0..5u64 {
-            let c = content(i, 1000);
-            md.try_commit(root, FileId(i), c, c.chunk_ids()).unwrap();
-        }
-        assert_eq!(md.mode(), ServingMode::Primary);
-        assert_eq!(md.visible_seq(root), Some(5));
-        let (fresh, stale) = md.visible_updates(root, 0).unwrap();
-        assert_eq!(fresh.len(), 5);
-        assert!(!stale);
-
-        // Fail over with a 2-entry replication lag: the last two commits
-        // are invisible during the handover window.
-        md.fail_over(&ReplicaConfig::default());
-        assert_eq!(md.mode(), ServingMode::Replica);
-        assert_eq!(md.visible_seq(root), Some(3));
-        let (visible, stale) = md.visible_updates(root, 0).unwrap();
-        assert_eq!(visible.len(), 3, "lagged entries hidden");
-        assert!(stale, "handover reads are explicitly stale");
-
-        // Writes are refused; the journal cannot fork.
-        let c = content(9, 500);
-        assert_eq!(
-            md.try_commit(root, FileId(9), c, c.chunk_ids()),
-            Err(CommitError::ReplicaReadOnly)
-        );
-        assert_eq!(md.namespace(root).unwrap().seq(), 5);
-
-        // Failing over again does not advance the snapshot.
-        md.fail_over(&ReplicaConfig { lag_entries: 0 });
-        assert_eq!(md.visible_seq(root), Some(3));
-
-        // Restore: fresh reads and commits again.
-        md.restore();
-        assert_eq!(md.visible_seq(root), Some(5));
-        let (fresh, stale) = md.visible_updates(root, 0).unwrap();
-        assert_eq!(fresh.len(), 5);
-        assert!(!stale);
-        assert!(md.try_commit(root, FileId(9), c, c.chunk_ids()).is_ok());
-        assert_eq!(
-            md.try_commit(NamespaceId(4242), FileId(1), c, c.chunk_ids()),
-            Err(CommitError::UnknownNamespace)
-        );
     }
 
     #[test]

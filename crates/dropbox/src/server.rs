@@ -31,12 +31,6 @@ pub enum ServerError {
     MissingChunk(ChunkId),
     /// Batch exceeds the 100-chunk transaction limit (Sec. 2.3.2).
     BatchTooLarge(usize),
-    /// The plane cannot serve the request right now: a 5xx during an
-    /// outage or degradation window, or a write while the read-only
-    /// metadata replica holds the fort. Clients back off and retry (or
-    /// queue offline) — the degraded-mode state machine of
-    /// [`crate::session`].
-    Unavailable,
 }
 
 /// The meta-data plane endpoint (`client-lb`/`clientX`).
@@ -73,22 +67,9 @@ impl<'a> MetaEndpoint<'a> {
         if self.md.namespaces_of(host).is_empty() {
             return Err(ServerError::UnknownHost(host));
         }
-        // Reads (register/list) are answered in both serving modes — the
-        // replica serves them from its stale snapshot — but writes are
-        // refused until the primary is restored.
-        let read_only = self.md.mode() == crate::metadata::ServingMode::Replica;
         match command {
-            Command::RegisterHost | Command::List => Ok(Command::Ok),
-            Command::CloseChangeset => {
-                if read_only {
-                    return Err(ServerError::Unavailable);
-                }
-                Ok(Command::Ok)
-            }
+            Command::RegisterHost | Command::List | Command::CloseChangeset => Ok(Command::Ok),
             Command::CommitBatch { hashes } => {
-                if read_only {
-                    return Err(ServerError::Unavailable);
-                }
                 if hashes.len() > Command::MAX_CHUNKS_PER_BATCH {
                     return Err(ServerError::BatchTooLarge(hashes.len()));
                 }
@@ -297,44 +278,6 @@ mod tests {
             storage.handle(&Command::Retrieve { id: ChunkId(9) }, &[]),
             Ok(Command::Ok)
         );
-    }
-
-    #[test]
-    fn failed_over_endpoint_serves_reads_but_refuses_writes() {
-        let (mut md, store) = setup();
-        md.fail_over(&crate::metadata::ReplicaConfig::default());
-        let mut meta = MetaEndpoint::new(&mut md, &store);
-        // Stale reads still flow during the handover window.
-        assert_eq!(
-            meta.handle(HostInt(10), &Command::List, &[]),
-            Ok(Command::Ok)
-        );
-        // Writes answer 5xx until the primary is restored.
-        assert_eq!(
-            meta.handle(
-                HostInt(10),
-                &Command::CommitBatch {
-                    hashes: vec![ChunkId(1)]
-                },
-                &[(ChunkId(1), 100)],
-            ),
-            Err(ServerError::Unavailable)
-        );
-        assert_eq!(
-            meta.handle(HostInt(10), &Command::CloseChangeset, &[]),
-            Err(ServerError::Unavailable)
-        );
-        md.restore();
-        let mut meta = MetaEndpoint::new(&mut md, &store);
-        assert!(meta
-            .handle(
-                HostInt(10),
-                &Command::CommitBatch {
-                    hashes: vec![ChunkId(1)]
-                },
-                &[(ChunkId(1), 100)],
-            )
-            .is_ok());
     }
 
     #[test]

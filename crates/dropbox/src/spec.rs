@@ -2,9 +2,9 @@
 //!
 //! The sync engine in [`crate::client`] is protocol-*invariant*: the
 //! transaction ladder (commit → need_blocks → store/retrieve →
-//! close_changeset), the session state machine, failover and the chunked
-//! content transfer work the same for every personal cloud storage
-//! service of the paper's era. What differs between providers is captured
+//! close_changeset) with its fault recovery, the session state machine and
+//! the chunked content transfer work the same for every personal cloud
+//! storage service of the paper's era. What differs between providers is captured
 //! here as data — a [`ProviderSpec`]:
 //!
 //! * **chunk size** — Dropbox splits at 4 MB (Sec. 2.1); competitors used

@@ -59,6 +59,7 @@ proptest! {
             &plan,
             &RetryPolicy::default(),
             &mut rng,
+            None,
         );
 
         let stats = store.stats();
@@ -104,6 +105,7 @@ proptest! {
             &plan,
             &RetryPolicy::default(),
             &mut rng,
+            None,
         );
         let post = store.stats();
         prop_assert_eq!(post.chunks, chunks.len() as u64);

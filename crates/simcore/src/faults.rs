@@ -7,8 +7,11 @@
 //! knobs as a *pure value* derived from a single seed via [`crate::dist`]
 //! samplers, so a faulty simulation stays a deterministic function of
 //! `(config, seed, plan)`: the same plan produces bit-identical faults on
-//! every run, and [`FaultPlan::none`] disables every code path that would
-//! consume randomness, leaving fault-free runs byte-for-byte unchanged.
+//! every run. The plan is the only fault switch: consumers have one code
+//! path, and every fault decision on it is inert under [`FaultPlan::none`]
+//! (no window is open, no probability is positive, and
+//! [`FaultPlan::link_faults`] returns before drawing), so a fault-free run
+//! consumes no fault randomness.
 //!
 //! The plan is consumed at three levels:
 //!
@@ -181,9 +184,11 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The empty plan: no faults, no randomness consumed anywhere. With
-    /// this plan every consumer takes its pre-fault code path, keeping the
-    /// pipeline byte-for-byte identical to a build without fault support.
+    /// The empty plan: no faults, no randomness consumed anywhere. Its
+    /// window lists are empty, so every availability query answers "up";
+    /// its probabilities are zero, so no guarded draw happens; and
+    /// [`FaultPlan::link_faults`] returns before drawing. Consumers need no
+    /// separate fault-free path.
     pub fn none() -> Self {
         FaultPlan {
             link_degraded_p: 0.0,
@@ -274,8 +279,8 @@ impl FaultPlan {
         plan
     }
 
-    /// Whether the plan injects anything at all. Consumers gate every
-    /// fault branch (and every extra RNG draw) on this.
+    /// Whether the plan injects anything at all. [`FaultPlan::link_faults`]
+    /// draws nothing for a plan that does not.
     pub fn is_active(&self) -> bool {
         self.link_degraded_p > 0.0
             || self.link_extra_loss > 0.0
@@ -287,10 +292,9 @@ impl FaultPlan {
     }
 
     /// Whether any control-plane events (notification outages, metadata
-    /// outages, degraded windows) are planned. Consumers gate the
-    /// degraded-mode state machine — and every RNG draw it makes — on
-    /// this, so plans without control-plane faults keep the pre-existing
-    /// draw sequence.
+    /// outages, degraded windows) are planned. A plan without them answers
+    /// every control-plane query with "up", so the degraded-mode state
+    /// machine never runs and draws nothing.
     pub fn has_control_plane(&self) -> bool {
         !self.notify_outages.is_empty()
             || !self.meta_outages.is_empty()

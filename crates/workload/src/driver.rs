@@ -26,7 +26,9 @@ use crate::population::{self, Behavior, Household};
 use crate::providers;
 use crate::vantage::{Access, VantageConfig};
 use dnssim::DnsDirectory;
-use dropbox::client::{ChunkWork, ClientVersion, RetryPolicy, SyncConfig, SyncEngine};
+use dropbox::client::{
+    ChunkWork, ClientVersion, RecoveryOutcome, RetryPolicy, SyncConfig, SyncEngine,
+};
 use dropbox::content::{sample_file_size, ChunkId, Content};
 use dropbox::lan_sync::{Announcement, LanSync};
 use dropbox::metadata::{FileId, HostInt, MetadataServer, NamespaceId, UserId};
@@ -250,7 +252,6 @@ struct Dev {
     version: ClientVersion,
     abnormal: bool,
     nat_afflicted: bool,
-    workstation: bool,
 }
 
 impl Dev {
@@ -326,6 +327,21 @@ fn flush_queue(
     }
 }
 
+/// Count one sync transaction's recovery work into `stats` and play its
+/// flows, each at its offset from the transaction start `at`.
+fn play_transaction(
+    outcome: RecoveryOutcome,
+    at: SimTime,
+    stats: &mut FaultStats,
+    play: &mut dyn FnMut(&FlowSpec, SimTime),
+) {
+    stats.sync_retries += u64::from(outcome.retries);
+    stats.aborted_flows += u64::from(outcome.aborted_flows);
+    for (off, spec) in &outcome.flows {
+        play(spec, at + *off);
+    }
+}
+
 /// Capture-level outputs that are not the record stream itself: what the
 /// streaming driver returns alongside the records it emits.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -350,12 +366,13 @@ impl VantageStats {
 
 /// Simulate one vantage point. `version` selects the client generation
 /// (v1.2.52 for the Mar–May capture, v1.4.0 for the Jun/Jul re-capture of
-/// Table 4). `faults` injects network and server failures: with
-/// [`FaultPlan::none`] no fault branch runs and no extra randomness is
-/// drawn, so the output is byte-identical to a fault-free build; with an
-/// active plan, flows pick up link degradations, storage transfers can be
-/// cut and resumed, and notification connections churn — all still a
-/// deterministic function of `(config, version, seed, plan)`.
+/// Table 4). `faults` injects network and server failures. There is one
+/// code path whatever the plan: under [`FaultPlan::none`] every fault
+/// decision on it is inert (no window is open, no probability is positive,
+/// no fault randomness is drawn). Under an active plan, flows pick up link
+/// degradations, storage transfers can be cut and resumed, and
+/// notification connections churn — all still a deterministic function of
+/// `(config, version, seed, plan)`.
 ///
 /// This is the materialising fold over the full-range household sweep.
 pub fn simulate_vantage(
@@ -511,7 +528,6 @@ fn simulate_household(
     // (capture seed, capture id, household index) — never of the range
     // cut, the worker, or `--jobs` (simlint's `shard-seed` rule).
     let hh_rng = par::household_stream(seed, capture, idx as u64);
-    let plan_active = faults.is_active();
     let mut fault_stats = FaultStats::default();
     // Ephemeral client ports count per household (each client churns its
     // own source ports), so flow keys are independent of range grouping.
@@ -550,15 +566,10 @@ fn simulate_household(
                 },
             };
             // Merge the flow's intrinsic faults (e.g. a recovering upload's
-            // scripted reset) with link-level faults drawn from the plan. With
-            // an inactive plan nothing is drawn and `merged` is the spec's own
-            // profile (normally `None`), keeping the fault-free output
-            // byte-identical.
-            let merged = if plan_active {
-                FlowFaults::merged(spec.faults, faults.link_faults(&mut link_fault_rng))
-            } else {
-                spec.faults
-            };
+            // scripted reset) with link-level faults drawn from the plan. The
+            // none plan draws nothing and `merged` is the spec's own profile
+            // (normally `None`).
+            let merged = FlowFaults::merged(spec.faults, faults.link_faults(&mut link_fault_rng));
             // The probe sees the flow's DNS answer just before the flow, so
             // where DNS passes the probe that name labels the server.
             let mut flow = FlowObserver::new(config.expose_dns.then(|| spec.server_name.clone()));
@@ -661,7 +672,6 @@ fn simulate_household(
                 version: d.version,
                 abnormal: d.abnormal_uploader,
                 nat_afflicted: d.nat_afflicted,
-                workstation: d.workstation,
             });
         }
 
@@ -828,7 +838,6 @@ fn simulate_household(
         // instant after recovery; external producers' commits land as soon
         // as the plane returns. Members propagate from the visibility
         // instant, not the commit instant.
-        let ctrl_active = plan_active && faults.has_control_plane();
         let mut queues: Vec<DeviceQueue> =
             (0..devs.len()).map(|_| DeviceQueue::default()).collect();
         let mut uploads: Vec<Vec<(SimTime, Vec<u64>, Vec<ChunkWork>)>> =
@@ -845,7 +854,7 @@ fn simulate_household(
 
         for (local_id, c) in commits.iter().enumerate() {
             let cid = cid_base + local_id as u64;
-            let deferred = ctrl_active && !faults.meta_available(c.at);
+            let deferred = !faults.meta_available(c.at);
             let mut flush_at: Option<SimTime> = None;
             let mut never_flushed = false;
             let visible_at = if !deferred {
@@ -947,15 +956,13 @@ fn simulate_household(
                         continue;
                     }
                     let mut delay = SimDuration::from_secs(prop_rng.range_u64(2, 25));
-                    if ctrl_active {
-                        if !faults.notify_available(visible_at) {
-                            // The push is lost: the member learns of the
-                            // change from a fallback metadata poll instead.
-                            delay += SimDuration::from_millis(prop_rng.range_u64(30_000, 120_000));
-                        } else if faults.degraded_at(visible_at) {
-                            // Elevated 5xx rates delay the push.
-                            delay += SimDuration::from_millis(faults.notify_delay_ms as u64);
-                        }
+                    if !faults.notify_available(visible_at) {
+                        // The push is lost: the member learns of the change
+                        // from a fallback metadata poll instead.
+                        delay += SimDuration::from_millis(prop_rng.range_u64(30_000, 120_000));
+                    } else if faults.degraded_at(visible_at) {
+                        // Elevated 5xx rates delay the push.
+                        delay += SimDuration::from_millis(faults.notify_delay_ms as u64);
                     }
                     queues[m]
                         .online_downloads
@@ -994,12 +1001,11 @@ fn simulate_household(
                 }
             }
         }
-        if ctrl_active {
-            // Deferred flushes were appended after direct uploads; restore
-            // chronological order for the per-session coalescing below.
-            for u in &mut uploads {
-                u.sort_by_key(|(t, _, _)| *t);
-            }
+        // Deferred flushes were appended after direct uploads; restore
+        // chronological order for the per-session coalescing below (a
+        // no-op when nothing was deferred: the sort is stable).
+        for u in &mut uploads {
+            u.sort_by_key(|(t, _, _)| *t);
         }
         stats.lan_synced += lan.served_chunks();
         // Resolve pending commit batches to the first session after their
@@ -1170,12 +1176,11 @@ fn simulate_household(
                         );
                         play(&spec, t, hh.ip, hh.access, day, &mut dev_rng);
                     }
-                } else if ctrl_active
-                    && (!faults.notify_available(session.start)
-                        || matches!(
-                            faults.next_notify_outage_after(session.start),
-                            Some((lo, _)) if lo < session.end
-                        ))
+                } else if !faults.notify_available(session.start)
+                    || matches!(
+                        faults.next_notify_outage_after(session.start),
+                        Some((lo, _)) if lo < session.end
+                    )
                 {
                     // A notification outage overlaps the session: degrade
                     // per the client's session state machine (DESIGN.md §9)
@@ -1255,10 +1260,7 @@ fn simulate_household(
                             a.reconnect(at, dev.host_int.0);
                         }
                     }
-                } else if plan_active
-                    && faults.notify_churn_p > 0.0
-                    && dev_rng.chance(faults.notify_churn_p)
-                {
+                } else if faults.notify_churn_p > 0.0 && dev_rng.chance(faults.notify_churn_p) {
                     // A flaky link churns the notification connection: a few
                     // fragments die mid-poll (RST with a request outstanding)
                     // and the client reconnects after an exponential backoff
@@ -1320,35 +1322,25 @@ fn simulate_household(
                             a.deliver(cid, dev.host_int.0, t_login, DeliveryKind::Login);
                         }
                     }
-                    if plan_active {
-                        let outcome = engine.download_transaction_faulty(
-                            batch,
-                            day,
-                            t_login,
-                            faults,
-                            &policy,
-                            &mut dev_rng,
-                        );
-                        fault_stats.sync_retries += u64::from(outcome.retries);
-                        fault_stats.aborted_flows += u64::from(outcome.aborted_flows);
-                        for (off, spec) in &outcome.flows {
-                            play(spec, t_login + *off, hh.ip, hh.access, day, &mut dev_rng);
-                        }
-                    } else {
-                        for spec in
-                            engine.download_transaction(batch, day, &mut dev_rng, None, t_login)
-                        {
-                            play(&spec, t_login, hh.ip, hh.access, day, &mut dev_rng);
-                        }
-                    }
+                    let outcome = engine.download_transaction_faulty(
+                        batch,
+                        day,
+                        t_login,
+                        faults,
+                        policy,
+                        &mut dev_rng,
+                        None,
+                    );
+                    play_transaction(outcome, t_login, &mut fault_stats, &mut |spec, at| {
+                        play(spec, at, hh.ip, hh.access, day, &mut dev_rng)
+                    });
                     t_login += SimDuration::from_secs(dev_rng.range_u64(3, 25));
                 }
 
                 // Periodic list refreshes (the short meta-data connections).
                 let mut t = session.start + SimDuration::from_mins(dev_rng.range_u64(20, 45));
                 while t < session.end {
-                    if ctrl_active && faults.degraded_at(t) && dev_rng.chance(faults.degraded_5xx_p)
-                    {
+                    if faults.degraded_at(t) && dev_rng.chance(faults.degraded_5xx_p) {
                         // Partially degraded metadata plane: the first
                         // attempt bounces with a 5xx-sized response and is
                         // retried immediately after.
@@ -1369,54 +1361,36 @@ fn simulate_household(
                                 a.flushed(cid, *t);
                             }
                         }
-                        if plan_active {
-                            let outcome = engine.upload_transaction_faulty(
-                                chunks,
-                                day,
-                                *t,
-                                faults,
-                                &policy,
-                                &mut dev_rng,
-                            );
-                            fault_stats.sync_retries += u64::from(outcome.retries);
-                            fault_stats.aborted_flows += u64::from(outcome.aborted_flows);
-                            for (off, spec) in &outcome.flows {
-                                play(spec, *t + *off, hh.ip, hh.access, day, &mut dev_rng);
-                            }
-                        } else {
-                            for spec in
-                                engine.upload_transaction(chunks, day, &mut dev_rng, None, *t)
-                            {
-                                play(&spec, *t, hh.ip, hh.access, day, &mut dev_rng);
-                            }
-                        }
+                        let outcome = engine.upload_transaction_faulty(
+                            chunks,
+                            day,
+                            *t,
+                            faults,
+                            policy,
+                            &mut dev_rng,
+                            None,
+                        );
+                        play_transaction(outcome, *t, &mut fault_stats, &mut |spec, at| {
+                            play(spec, at, hh.ip, hh.access, day, &mut dev_rng)
+                        });
                     }
                 }
 
                 // Downloads while on-line.
                 if let Some(downs) = session_downloads.get(&si) {
                     for (t, chunks) in downs {
-                        if plan_active {
-                            let outcome = engine.download_transaction_faulty(
-                                chunks,
-                                day,
-                                *t,
-                                faults,
-                                &policy,
-                                &mut dev_rng,
-                            );
-                            fault_stats.sync_retries += u64::from(outcome.retries);
-                            fault_stats.aborted_flows += u64::from(outcome.aborted_flows);
-                            for (off, spec) in &outcome.flows {
-                                play(spec, *t + *off, hh.ip, hh.access, day, &mut dev_rng);
-                            }
-                        } else {
-                            for spec in
-                                engine.download_transaction(chunks, day, &mut dev_rng, None, *t)
-                            {
-                                play(&spec, *t, hh.ip, hh.access, day, &mut dev_rng);
-                            }
-                        }
+                        let outcome = engine.download_transaction_faulty(
+                            chunks,
+                            day,
+                            *t,
+                            faults,
+                            policy,
+                            &mut dev_rng,
+                            None,
+                        );
+                        play_transaction(outcome, *t, &mut fault_stats, &mut |spec, at| {
+                            play(spec, at, hh.ip, hh.access, day, &mut dev_rng)
+                        });
                     }
                 }
 
@@ -1469,8 +1443,6 @@ fn simulate_household(
                         t += SimDuration::from_secs(dev_rng.range_u64(1_100, 1_900));
                     }
                 }
-
-                let _ = dev.workstation;
             }
         }
 
@@ -1783,7 +1755,6 @@ mod tests {
                 version: ClientVersion::V1_2_52,
                 abnormal: false,
                 nat_afflicted: false,
-                workstation: false,
             };
             // Probe every boundary instant plus its neighbours and the
             // gaps, so `t == start`, `t == end`, and zero-length sessions
