@@ -7,7 +7,7 @@
 //!       [--provider-matrix] [--access wired|wifi|lte]
 //!
 //!   IDS     table1..table5, fig1..fig21, validation, recommendations,
-//!           or `all` (default)
+//!           ablations, or `all` (the default); `--list` prints them
 //!   --scale population scale factor (default 0.1)
 //!   --seed  simulation seed (default 2012)
 //!   --jobs N          simulate the five captures on up to N worker
@@ -44,6 +44,9 @@
 //!   --access P        force every household onto access-link profile P
 //!                     (`wired` | `wifi` | `lte`) in provider-matrix mode
 //! ```
+//!
+//! An unknown id or flag, a flag without its value, or a malformed value
+//! prints usage and exits 2 before anything is simulated or written.
 
 use experiments::ablations;
 use experiments::figures;
@@ -52,97 +55,147 @@ use experiments::report::Report;
 use experiments::tables;
 use std::fs;
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::time::Instant;
+use tcpmodel::AccessLink;
 use workload::{FaultPlan, OutageKnobs, ShardPlan};
 
-fn main() {
-    let mut ids: Vec<String> = Vec::new();
-    let mut scale = 0.1f64;
-    let mut seed = 2012u64;
-    let mut jobs = 0usize; // 0 = auto-detect
-    let mut hh_shards = workload::shard::DEFAULT_SUB_SHARDS;
-    let mut out_dir = PathBuf::from("results");
-    let mut export_traces = false;
-    let mut fault_seed: Option<u64> = None;
-    let mut chaos_seeds: Option<u64> = None;
-    let mut knobs = OutageKnobs::default();
-    let mut provider_matrix = false;
-    let mut access: Option<&'static tcpmodel::AccessLink> = None;
+const USAGE: &str = "usage: repro [IDS...] [--list] [--scale S] [--seed N] [--jobs N] [--hh-shards K] [--out DIR] [--faults N] [--export-traces] [--chaos N] [--outage-gap-days G] [--outage-secs S] [--provider-matrix] [--access wired|wifi|lte]";
 
-    let mut args = std::env::args().skip(1);
+/// Reports that need no capture: the testbed figures, Table 1, the
+/// recommendations and the ablations.
+const STANDALONE_REPORTS: [&str; 5] = ["fig1", "fig19", "table1", "recommendations", "ablations"];
+
+/// Every report id `repro` accepts, in `--list` order: the standalone
+/// reports, the reports rendered from the five captures, and `all`.
+fn report_ids() -> impl Iterator<Item = &'static str> {
+    STANDALONE_REPORTS
+        .into_iter()
+        .chain(experiments::SUMMARY_REPORTS.iter().map(|&(id, _)| id))
+        .chain(["all"])
+}
+
+/// What the command line asks for.
+#[derive(Debug)]
+enum Command {
+    /// Generate reports (or run a chaos or provider-matrix mode).
+    Run(Options),
+    /// Print usage and exit 0.
+    Help,
+    /// Print the report ids and exit 0.
+    List,
+}
+
+/// The options of a run; see the module doc for each flag.
+#[derive(Debug)]
+struct Options {
+    /// Requested report ids; `["all"]` when none (or `all`) was named.
+    ids: Vec<String>,
+    scale: f64,
+    seed: u64,
+    jobs: usize,
+    hh_shards: usize,
+    out_dir: PathBuf,
+    export_traces: bool,
+    fault_seed: Option<u64>,
+    chaos_seeds: Option<u64>,
+    knobs: OutageKnobs,
+    provider_matrix: bool,
+    access: Option<&'static AccessLink>,
+}
+
+/// Parse `flag`'s value.
+fn parse_value<T: FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("`{flag}` cannot take the value `{value}`"))
+}
+
+/// Parse the arguments after the program name. `Err` holds the message
+/// printed above the usage line.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
+    let mut o = Options {
+        ids: Vec::new(),
+        scale: 0.1,
+        seed: 2012,
+        jobs: 0, // auto-detect
+        hh_shards: workload::shard::DEFAULT_SUB_SHARDS,
+        out_dir: PathBuf::from("results"),
+        export_traces: false,
+        fault_seed: None,
+        chaos_seeds: None,
+        knobs: OutageKnobs::default(),
+        provider_matrix: false,
+        access: None,
+    };
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("`{a}` needs a value"));
         match a.as_str() {
-            "--scale" => scale = args.next().expect("--scale value").parse().expect("scale"),
-            "--seed" => seed = args.next().expect("--seed value").parse().expect("seed"),
-            "--jobs" => jobs = args.next().expect("--jobs value").parse().expect("jobs"),
-            "--hh-shards" => {
-                hh_shards = args
-                    .next()
-                    .expect("--hh-shards value")
-                    .parse::<usize>()
-                    .expect("hh-shards")
-                    .max(1)
-            }
-            "--out" => out_dir = PathBuf::from(args.next().expect("--out value")),
-            "--export-traces" => export_traces = true,
-            "--faults" => {
-                fault_seed = Some(
-                    args.next()
-                        .expect("--faults value")
-                        .parse()
-                        .expect("fault seed"),
-                )
-            }
-            "--chaos" => {
-                chaos_seeds = Some(
-                    args.next()
-                        .expect("--chaos value")
-                        .parse()
-                        .expect("chaos seed count"),
-                )
-            }
-            "--outage-gap-days" => {
-                knobs.gap_days = args
-                    .next()
-                    .expect("--outage-gap-days value")
-                    .parse()
-                    .expect("gap days")
-            }
+            "--scale" => o.scale = parse_value(&a, value()?)?,
+            "--seed" => o.seed = parse_value(&a, value()?)?,
+            "--jobs" => o.jobs = parse_value(&a, value()?)?,
+            "--hh-shards" => o.hh_shards = parse_value::<usize>(&a, value()?)?.max(1),
+            "--out" => o.out_dir = PathBuf::from(value()?),
+            "--export-traces" => o.export_traces = true,
+            "--faults" => o.fault_seed = Some(parse_value(&a, value()?)?),
+            "--chaos" => o.chaos_seeds = Some(parse_value(&a, value()?)?),
+            "--outage-gap-days" => o.knobs.gap_days = parse_value(&a, value()?)?,
             "--outage-secs" => {
-                let secs: f64 = args
-                    .next()
-                    .expect("--outage-secs value")
-                    .parse()
-                    .expect("outage secs");
-                knobs.median_secs = secs;
-                knobs.max_secs = knobs.max_secs.max(20.0 * secs);
+                let secs: f64 = parse_value(&a, value()?)?;
+                o.knobs.median_secs = secs;
+                o.knobs.max_secs = o.knobs.max_secs.max(20.0 * secs);
             }
-            "--provider-matrix" => provider_matrix = true,
+            "--provider-matrix" => o.provider_matrix = true,
             "--access" => {
-                let name = args.next().expect("--access value");
-                access = Some(
-                    tcpmodel::AccessLink::by_name(&name)
-                        .unwrap_or_else(|| panic!("unknown access profile `{name}`")),
-                );
+                let name = value()?;
+                let link = AccessLink::by_name(&name)
+                    .ok_or_else(|| format!("unknown access profile `{name}`"))?;
+                o.access = Some(link);
             }
-            "--help" | "-h" => {
-                println!(
-                    "usage: repro [IDS...] [--scale S] [--seed N] [--jobs N] [--hh-shards K] [--out DIR] [--faults N] [--export-traces] [--chaos N] [--outage-gap-days G] [--outage-secs S] [--provider-matrix] [--access wired|wifi|lte]"
-                );
-                return;
-            }
-            "--list" => {
-                println!("table1 table2 table3 table4 table5");
-                println!("fig1 fig2 … fig21 (no fig19 capture needed: fig1, fig19)");
-                println!("validation recommendations ablations all");
-                return;
-            }
-            other => ids.push(other.to_string()),
+            "--help" | "-h" => return Ok(Command::Help),
+            "--list" => return Ok(Command::List),
+            id if report_ids().any(|known| known == id) => o.ids.push(a),
+            other => return Err(format!("unknown report id or flag `{other}` (see --list)")),
         }
     }
-    if ids.is_empty() || ids.iter().any(|i| i == "all") {
-        ids = vec!["all".into()];
+    if o.ids.is_empty() || o.ids.iter().any(|i| i == "all") {
+        o.ids = vec!["all".into()];
     }
+    Ok(Command::Run(o))
+}
+
+fn main() {
+    let Options {
+        ids,
+        scale,
+        seed,
+        jobs,
+        hh_shards,
+        out_dir,
+        export_traces,
+        fault_seed,
+        chaos_seeds,
+        knobs,
+        provider_matrix,
+        access,
+    } = match parse_args(std::env::args().skip(1)) {
+        Ok(Command::Run(o)) => o,
+        Ok(Command::Help) => {
+            println!("{USAGE}");
+            return;
+        }
+        Ok(Command::List) => {
+            for id in report_ids() {
+                println!("{id}");
+            }
+            return;
+        }
+        Err(msg) => {
+            eprintln!("repro: {msg}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     let want = |id: &str| ids[0] == "all" || ids.iter().any(|i| i == id);
 
     fs::create_dir_all(&out_dir).expect("create output directory");
@@ -238,13 +291,9 @@ fn main() {
         reports.extend(ablations::all());
     }
 
-    let needs_capture = ids[0] == "all"
-        || ids.iter().any(|i| {
-            !matches!(
-                i.as_str(),
-                "fig1" | "fig19" | "table1" | "recommendations" | "ablations"
-            )
-        });
+    let needs_capture = ids
+        .iter()
+        .any(|i| !STANDALONE_REPORTS.contains(&i.as_str()));
     if needs_capture {
         let plan = match fault_seed {
             // The longest capture is the 42-day Mar–May window; the plan's
@@ -362,4 +411,110 @@ fn main() {
     );
     fs::write(out_dir.join("INDEX.md"), index).expect("write index");
     eprintln!("wrote {} reports to {}", reports.len(), out_dir.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Command, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    fn run(args: &[&str]) -> Options {
+        match parse(args) {
+            Ok(Command::Run(o)) => o,
+            other => panic!("{args:?} must parse as a run: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_listed_id_parses_and_none_means_all() {
+        let ids: Vec<&str> = report_ids().collect();
+        assert_eq!(
+            ids.len(),
+            STANDALONE_REPORTS.len() + experiments::SUMMARY_REPORTS.len() + 1
+        );
+        for id in &ids {
+            assert_eq!(run(&[id]).ids, vec![id.to_string()]);
+        }
+        for id in ["fig1", "fig19", "table2", "validation", "ablations", "all"] {
+            assert!(ids.contains(&id), "{id} missing from the --list table");
+        }
+        assert_eq!(run(&[]).ids, vec!["all"]);
+        assert_eq!(run(&["table2", "all"]).ids, vec!["all"]);
+        assert_eq!(run(&["table2", "fig3"]).ids, vec!["table2", "fig3"]);
+    }
+
+    #[test]
+    fn unknown_ids_and_flags_are_usage_errors() {
+        for args in [
+            &["fig99"][..],
+            &["nosuchfig"],
+            &["table2", "fig99"],
+            &["fig99", "--list"],
+            &["--bogus"],
+            &["Table2"],
+        ] {
+            let err = parse(args).expect_err(&format!("{args:?} must not parse"));
+            assert!(
+                err.starts_with("unknown report id or flag"),
+                "{args:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn flags_take_their_values() {
+        let o = run(&[
+            "table3",
+            "--scale",
+            "0.02",
+            "--seed",
+            "7",
+            "--jobs",
+            "4",
+            "--hh-shards",
+            "0",
+            "--out",
+            "dir",
+            "--faults",
+            "9",
+            "--outage-secs",
+            "600",
+            "--export-traces",
+        ]);
+        assert_eq!(o.ids, vec!["table3"]);
+        assert_eq!((o.scale, o.seed, o.jobs, o.hh_shards), (0.02, 7, 4, 1));
+        assert_eq!(o.out_dir, PathBuf::from("dir"));
+        assert_eq!(o.fault_seed, Some(9));
+        assert_eq!(o.knobs.median_secs, 600.0);
+        assert_eq!(o.knobs.max_secs, 12_000.0);
+        assert!(o.export_traces && !o.provider_matrix && o.chaos_seeds.is_none());
+        let o = run(&["--provider-matrix", "--access", "lte", "--chaos", "3"]);
+        assert!(o.provider_matrix);
+        assert_eq!(o.access.map(|l| l.name), Some("lte"));
+        assert_eq!(o.chaos_seeds, Some(3));
+    }
+
+    #[test]
+    fn missing_or_malformed_values_are_usage_errors() {
+        for (args, want) in [
+            (&["--scale"][..], "needs a value"),
+            (&["all", "--out"], "needs a value"),
+            (&["--seed", "x"], "cannot take the value `x`"),
+            (&["--jobs", "-1"], "cannot take the value `-1`"),
+            (&["--access", "dialup"], "unknown access profile `dialup`"),
+        ] {
+            let err = parse(args).expect_err(&format!("{args:?} must not parse"));
+            assert!(err.ends_with(want), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn help_and_list_stop_parsing() {
+        assert!(matches!(parse(&["--help", "--bogus"]), Ok(Command::Help)));
+        assert!(matches!(parse(&["table2", "-h"]), Ok(Command::Help)));
+        assert!(matches!(parse(&["--list", "fig99"]), Ok(Command::List)));
+    }
 }

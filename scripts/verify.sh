@@ -53,6 +53,16 @@ cargo check --offline --manifest-path .perfbench/Cargo.toml --benches
 # Rustdoc is part of tier-1: crate docs must build warning-clean.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+# An unknown report id is a usage error caught before any simulation:
+# `repro` exits 2 and writes nothing (no INDEX.md) to --out.
+unknown_dir="$(mktemp -d)"
+unknown_status=0
+cargo run --release --offline -p experiments --bin repro -- \
+    nosuchfig --out "$unknown_dir" 2> /dev/null || unknown_status=$?
+test "$unknown_status" -eq 2
+test ! -e "$unknown_dir/INDEX.md"
+rmdir "$unknown_dir"
+
 # Fault-injected smoke run: the whole reproduction pipeline must survive a
 # lossy plan (resets, retries, outages) end to end — and a parallel run of
 # the same pipeline (8 workers over the household sub-shards, plus an
